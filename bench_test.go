@@ -357,31 +357,10 @@ func BenchmarkVMThroughput(b *testing.B) {
 	}
 }
 
-// --- execution engines: decode-every-instruction interpreter vs the
-// predecoded per-page instruction cache vs direct-threaded dispatch ---
-
-func BenchmarkEngineDecodeCache(b *testing.B) {
-	img := buildFor(b, "sjeng", true)
-	for _, e := range []vm.Engine{vm.EngineInterp, vm.EngineCached, vm.EngineThreaded} {
-		b.Run(e.String(), func(b *testing.B) {
-			total := int64(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				total += runImageOpts(b, img, mrt.Options{Engine: e}, nil)
-			}
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(total)/secs/1e6, "Minstr/s")
-			}
-		})
-	}
-}
-
-// --- check-transaction fusion: every engine on the Fig. 5 sjeng
-// harness, instrumented (where fusion collapses every check into one
-// host dispatch, and the threaded engine additionally folds the
-// following indirect branch) and baseline (where fused degenerates to
-// cached — the fusion lookup must not tax uninstrumented code) ---
+// --- execution engines on the Fig. 5 sjeng harness: the interp
+// reference vs the block compiler, instrumented (where every check is
+// one fused host dispatch with its indirect branch folded) and
+// baseline (the fusion lookup must not tax uninstrumented code) ---
 
 func BenchmarkCheckFusion(b *testing.B) {
 	for _, flavor := range []struct {
@@ -389,7 +368,7 @@ func BenchmarkCheckFusion(b *testing.B) {
 		instrument bool
 	}{{"mcfi", true}, {"baseline", false}} {
 		img := buildFor(b, "sjeng", flavor.instrument)
-		for _, e := range []vm.Engine{vm.EngineInterp, vm.EngineCached, vm.EngineFused, vm.EngineThreaded, vm.EngineBlockJIT} {
+		for _, e := range vm.Engines() {
 			b.Run(flavor.name+"/"+e.String(), func(b *testing.B) {
 				total := int64(0)
 				b.ResetTimer()

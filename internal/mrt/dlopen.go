@@ -166,7 +166,7 @@ func (r *Runtime) Dlopen(name string) (int64, error) {
 
 	if r.Img.Instrumented {
 		// Patch Bary indexes into the freshly loaded code, and let the
-		// fused engine know about its check transactions.
+		// block compiler fuse its check transactions.
 		r.assignBranchIndexes(rebased.IBs)
 		r.registerFusedSites(rebased.IBs)
 	}

@@ -51,12 +51,13 @@ type Options struct {
 	Verify func(*module.Object) error
 	// Seed initializes the deterministic guest PRNG.
 	Seed uint64
-	// Engine selects the VM execution engine (default: the
-	// direct-threaded engine; vm.EngineInterp decodes every
-	// instruction).
+	// Engine selects the VM execution engine (default: the block
+	// compiler, vm.EngineBlockJIT; vm.EngineInterp is the reference
+	// interpreter that decodes every instruction).
 	Engine vm.Engine
-	// JITThreshold sets the block-compile execution threshold for
-	// vm.EngineBlockJIT (0 = vm.DefaultJITThreshold).
+	// JITThreshold sets the block compiler's execution threshold (0 =
+	// vm.DefaultJITThreshold); tests use it to force eager or
+	// cold-only compilation.
 	JITThreshold int64
 	// ForceFullCFG disables the incremental dlopen path: every policy
 	// change regenerates the full CFG and republishes the whole table

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"mcfi/internal/buildstore"
 	"mcfi/internal/workload"
 )
 
@@ -165,6 +166,12 @@ type loadBucket struct {
 	latMs    []float64
 }
 
+// storeHit reports whether a job's image came from a build-store tier
+// rather than a fresh compile (jobs that never built have no tier).
+func storeHit(res *JobResult) bool {
+	return res.StoreTier != "" && res.StoreTier != string(buildstore.TierBuilt)
+}
+
 func newBucket() *loadBucket { return &loadBucket{tiers: map[string]int64{}} }
 
 func (b *loadBucket) observe(res *JobResult, latMs float64) {
@@ -173,7 +180,7 @@ func (b *loadBucket) observe(res *JobResult, latMs float64) {
 	if res.StoreTier != "" {
 		b.tiers[res.StoreTier]++
 	}
-	if res.BuildCacheHit {
+	if storeHit(res) {
 		b.hits++
 	}
 	if res.Proxied {
@@ -413,7 +420,7 @@ func (lr *loadRun) record(res *JobResult, jr *JobRequest, tenant, addr string, l
 	if res.StoreTier != "" {
 		lr.rep.StoreTiers[res.StoreTier]++
 	}
-	if res.BuildCacheHit {
+	if storeHit(res) {
 		lr.hits++
 	}
 	if res.Proxied {

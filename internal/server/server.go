@@ -105,7 +105,7 @@ type JobRequest struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Baseline skips MCFI instrumentation; Profile selects 32/64
 	// (default 64); Engine selects any vm.EngineNames() entry (default
-	// threaded).
+	// blockjit).
 	Baseline bool   `json:"baseline,omitempty"`
 	Profile  int    `json:"profile,omitempty"`
 	Engine   string `json:"engine,omitempty"`
@@ -135,10 +135,8 @@ type JobResult struct {
 	Replica string `json:"replica,omitempty"`
 	Proxied bool   `json:"proxied,omitempty"`
 	// StoreTier names where the job's image came from: "mem", "disk",
-	// "remote", or "built" (compiled for this job). BuildCacheHit is
-	// the legacy boolean view of the same fact (any tier but "built").
-	StoreTier     string `json:"store_tier,omitempty"`
-	BuildCacheHit bool   `json:"build_cache_hit"`
+	// "remote", or "built" (compiled for this job).
+	StoreTier string `json:"store_tier,omitempty"`
 	// Updates counts the job's table update transactions (initial
 	// policy publication plus one per dlopen/dlsym policy change);
 	// DeltaPublishes is how many of those took the incremental delta
@@ -807,7 +805,7 @@ func (s *Server) runJob(j *job) JobResult {
 		res.Status, res.Error = StatusBuildError, err.Error()
 		return res
 	}
-	engine, err := vm.ParseEngineDefault(j.req.Engine, vm.EngineThreaded)
+	engine, err := vm.ParseEngine(j.req.Engine)
 	if err != nil {
 		res.Status, res.Error = StatusBuildError, err.Error()
 		return res
@@ -818,7 +816,6 @@ func (s *Server) runJob(j *job) JobResult {
 	buildDur := time.Since(t0)
 	res.BuildMs = ms(buildDur)
 	res.StoreTier = string(tier)
-	res.BuildCacheHit = tier != buildstore.TierBuilt
 	s.buildHist.Observe(string(tier), buildDur)
 	s.span(j, obs.SpanBuild, t0, buildDur, map[string]string{"tier": string(tier)})
 	if ph.StoreNs > 0 {
@@ -1170,9 +1167,9 @@ func (s *Server) MetricsSnapshot() Metrics {
 
 // Handler returns the service mux. The surface is versioned under
 // /v1/ — POST /v1/run, POST /v1/batch, GET /v1/healthz, GET
-// /v1/metrics, and the store protocol at /v1/store/{key} (GET/HEAD/PUT
-// of sealed blobs, backed by the disk tier) — with the original
-// unversioned routes kept as aliases so existing clients keep working.
+// /v1/metrics, GET /v1/trace/{id}, GET /v1/audit, and the store
+// protocol at /v1/store/{key} (GET/HEAD/PUT of sealed blobs, backed by
+// the disk tier).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/run", s.handleRun)
@@ -1182,10 +1179,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/trace/", s.handleTrace)
 	mux.HandleFunc("/v1/audit", s.handleAudit)
 	mux.Handle("/v1/store/", s.storeHandler())
-	// Legacy (pre-/v1) aliases.
-	mux.HandleFunc("/run", s.handleRun)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
 	return mux
 }
 
@@ -1275,7 +1268,7 @@ func (s *Server) health() Health {
 		Status:     "ok",
 		Version:    Version,
 		Replica:    s.self,
-		Engine:     vm.EngineThreaded.String(),
+		Engine:     vm.EngineBlockJIT.String(),
 		Draining:   s.Draining(),
 		UptimeSecs: time.Since(s.start).Seconds(),
 		Workers:    s.Workers(),

@@ -2,13 +2,17 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"mcfi/internal/vm"
 )
 
 const spinSrc = `
@@ -134,6 +138,46 @@ func TestCFIViolationIsStructuredAndIsolated(t *testing.T) {
 	m := s.MetricsSnapshot()
 	if m.Jobs.CFIViolations != 1 || m.Exec.CheckHalts < 1 {
 		t.Errorf("violation not counted: %+v", m.Jobs)
+	}
+}
+
+// TestRunRejectsUnknownEngines: POST /v1/run refuses engine names
+// outside vm.EngineNames() — the retired cached, fused and threaded
+// engines included — with the enumerated parse error, and the
+// unversioned route aliases are gone.
+func TestRunRejectsUnknownEngines(t *testing.T) {
+	s := newTest(t, Config{Workers: 1, QueueDepth: 4})
+	defer drain(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	want := strings.Join(vm.EngineNames(), ", ")
+	for _, name := range []string{"cached", "fused", "threaded"} {
+		body, _ := json.Marshal(JobRequest{Source: helloSrc, Name: "hello", Engine: name})
+		resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res JobResult
+		err = json.NewDecoder(resp.Body).Decode(&res)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("engine %q: %v", name, err)
+		}
+		if res.Status != StatusBuildError || !strings.Contains(res.Error, want) {
+			t.Errorf("engine %q: status %q error %q, want %q enumerating %q",
+				name, res.Status, res.Error, StatusBuildError, want)
+		}
+	}
+	for _, path := range []string{"/run", "/healthz", "/metrics"} {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404 (only /v1 routes are served)", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -308,7 +352,6 @@ func TestLoadMixedWorkloads(t *testing.T) {
 		Concurrency: 8,
 		Requests:    36, // 3 × 12 workloads → 2/3 cache hit rate
 		UseTestWork: true,
-		Engine:      "fused",
 		Client:      ts.Client(),
 	})
 	if err != nil {

@@ -261,6 +261,10 @@ func (t *Tables) Check(baryIndex, target int) Verdict {
 				return Violation
 			}
 			t.retries.Add(1)
+			// A native checker spins on its own core; a goroutine may
+			// share a P with the publisher it waits for, so yield and
+			// let the transaction finish instead of burning the slice.
+			runtime.Gosched()
 			continue // jne Try — concurrent update in flight
 		}
 		return Violation // same version, different ECN: CFI violation

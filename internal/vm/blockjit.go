@@ -1,22 +1,22 @@
-// Profile-guided fill-time block compiler. The threaded engine pays
-// one icache lookup plus one indirect call per retired instruction;
-// EngineBlockJIT compiles each hot straight-line block into a
-// compiled trace — a contiguous array of pre-bound steps the
-// dispatcher executes with one block lookup per *block* — so the run
+// Profile-guided fill-time block compiler, the hot half of
+// EngineBlockJIT. Cold dispatch (threaded.go) pays one icache lookup
+// plus one indirect call per retired instruction; the compiler turns
+// each hot straight-line block into a compiled trace — a contiguous
+// array of pre-bound steps the dispatcher executes with one block
+// lookup per *block* — so the run
 // loop's per-instruction costs (icache probe, valid-bitmap test,
 // watermark compare, PC/Instret stores for pure ops) are paid once
 // per block instead of once per instruction. Pure register steps are
 // bound as inline micro-ops (a jump-table dispatch with operands and
 // constants pre-extracted — no call at all); steps that can fault or
-// leave the VM keep a pre-bound func pointer to their threaded
+// leave the VM keep a pre-bound func pointer to their per-opcode
 // handler so fault semantics live in exactly one place.
 //
 // Profile guidance: every potential block start (the target of any
 // control transfer) carries an execution counter, and only starts
 // whose count crosses the JIT threshold pay compile cost. Cold code
-// executes on the threaded engine's dispatch path unchanged, so a
-// block that never gets hot costs one counter increment per entry and
-// nothing else.
+// executes through the icache slots' handlers, so a block that never
+// gets hot costs one counter increment per entry and nothing else.
 //
 // Block boundaries. A block is the maximal trace from its start such
 // that every instruction *starts* inside the start's page: it follows
@@ -43,7 +43,7 @@
 // the change; a condemned block is dropped at dispatch and its start
 // re-profiled from zero.
 //
-// Accounting is bit-identical to the other engines. Pure register
+// Accounting is bit-identical to the interpreter. Pure register
 // steps defer their Instret/PC updates into a pending count that the
 // next effectful step (or the block epilogue) credits before acting,
 // so a fault inside a block reports the exact interp-engine Instret
@@ -64,7 +64,7 @@ import (
 
 // DefaultJITThreshold is the execution count at which a block start
 // becomes hot and is compiled. Override per process with
-// SetJITThreshold (the -jit-threshold flag).
+// SetJITThreshold (mrt.Options.JITThreshold).
 const DefaultJITThreshold = 64
 
 // maxBlockSteps bounds the compiled steps of one block, so a page of
@@ -74,9 +74,9 @@ const maxBlockSteps = 256
 
 // Micro-op kinds of a compiled block step. The zero value is the
 // handler delegation so a mis-initialized step fails safe (through
-// the threaded handler, never a silent register micro-op).
+// the per-opcode handler, never a silent register micro-op).
 const (
-	kHandler  uint8 = iota // delegate to the threaded handler (s.h, s.ins)
+	kHandler  uint8 = iota // delegate to the per-opcode handler (s.h, s.ins)
 	kEnd                   // block epilogue: credit retires, land PC
 	kJmp                   // pre-bound direct jump (backward / page-leaving)
 	kCall                  // pre-bound direct call
@@ -208,9 +208,9 @@ type jitState struct {
 	coldSteps    atomic.Int64
 }
 
-// SetJITThreshold sets the block-compile execution threshold for
-// EngineBlockJIT (<= 0 restores DefaultJITThreshold). Call before the
-// process starts executing.
+// SetJITThreshold sets the block-compile execution threshold (<= 0
+// restores DefaultJITThreshold). Call before the process starts
+// executing.
 func (p *Process) SetJITThreshold(n int64) { p.jit.threshold = n }
 
 // jitPageAt returns the jitPage for page pg, installing one if
@@ -511,7 +511,7 @@ func runPureALU(t *Thread, kind, r1, r2 uint8) {
 
 // memKind maps a plain load or store to its memory micro-op kind.
 // Fused pseudo-opcodes (trace mask store, check superinstructions)
-// never match: they keep their threaded handlers.
+// never match: they keep their per-opcode handlers.
 func memKind(op visa.Op) (uint8, bool) {
 	switch op {
 	case visa.LD8:
@@ -627,12 +627,18 @@ func bindPureStep(kind uint8, ins visa.Instr) blockStep {
 	return s
 }
 
-// runBlockJIT is EngineBlockJIT's run loop: the threaded engine's
-// watermark loop with a compiled-block dispatch in front of the
-// per-instruction path. atStart tracks whether pc was reached by a
-// control transfer — only such pcs are block starts, so a 20-step
-// loop body profiles (and compiles) once at its head instead of once
-// per suffix.
+// runBlockJIT is EngineBlockJIT's run loop. The outer block performs
+// exactly the checks the interp loop in Run does at its poll points —
+// budget, exit, cancellation, counter flush — and the inner loop then
+// executes without per-step checks until the next watermark: the same
+// 1024-retired-instruction cadence, with the budget clamped in so
+// exhaustion is detected on the precise instruction. Each inner step
+// dispatches a compiled block if one starts at pc, else one icache
+// slot; the fetch is open-coded (the unsigned page-index compare folds
+// the pc<0 check into the bounds check). atStart tracks whether pc was
+// reached by a control transfer — only such pcs are block starts, so a
+// 20-step loop body profiles (and compiles) once at its head instead
+// of once per suffix.
 func (t *Thread) runBlockJIT(maxInstr int64) error {
 	p := t.P
 	icache := p.icache
@@ -703,7 +709,7 @@ func (t *Thread) runBlockJIT(maxInstr int64) error {
 					// tail so exhaustion lands on the exact instruction.
 				}
 			}
-			// Cold path: threaded dispatch plus block-start profiling.
+			// Cold path: per-slot dispatch plus block-start profiling.
 			t.JITColdSteps++
 			if pg < uint64(len(icache)) {
 				if c := icache[pg].Load(); c != nil {
@@ -728,7 +734,8 @@ func (t *Thread) runBlockJIT(maxInstr int64) error {
 				}
 			}
 			// Miss: check executability, fill the slot, dispatch once
-			// from the fill result (as runThreaded).
+			// from the fill result (the slot may not have been cached if
+			// the page raced an invalidation).
 			if p.Prot(pc)&visa.ProtExec == 0 {
 				return t.fault(FaultExec, "pc %#x not executable", pc)
 			}
@@ -778,23 +785,16 @@ func maxRetireOf(op visa.Op) int64 {
 	return 1
 }
 
-// fetchForCompile decodes the instruction at pc exactly as the
-// threaded fill path would — fused check superinstructions and trace
-// pairs included — without publishing into the icache, so compiled
-// blocks retire the identical instruction stream.
+// fetchForCompile predecodes the instruction at pc exactly as the
+// icache fill would — fused check superinstructions and trace pairs
+// included — without publishing into the icache, so compiled blocks
+// retire the identical instruction stream.
 func (p *Process) fetchForCompile(pc int64) (visa.Instr, int, bool) {
 	if pc < 0 || pc >= int64(len(p.Mem)) || p.Prot(pc)&visa.ProtExec == 0 {
 		return visa.Instr{}, 0, false
 	}
-	if ins, n, ok := p.tryFuse(pc); ok {
-		return ins, n, true
-	}
-	ins, n, err := visa.Decode(p.Mem, int(pc))
-	if err != nil {
-		return visa.Instr{}, 0, false
-	}
-	ins, n = p.tryFuseTrace(ins, n, pc)
-	return ins, n, true
+	ins, n, err := p.predecode(pc)
+	return ins, n, err == nil
 }
 
 // compileBlock compiles the trace starting at pc into a
@@ -919,7 +919,7 @@ func (p *Process) compileBlock(start int64) *compiledBlock {
 		}
 
 		// Peephole: load + register ALU op consuming the loaded value.
-		// The load delegates to its threaded handler (exact fault PC
+		// The load delegates to its per-opcode handler (exact fault PC
 		// and the clobber-on-fault quirk); the ALU half runs inline.
 		if o2, n2, ok2 := p.fetchForCompile(next); ok2 && next < pageEnd &&
 			rewrite.IsLoadOpPair(ins, o2) {
@@ -950,7 +950,7 @@ func (p *Process) compileBlock(start int64) *compiledBlock {
 			continue
 		}
 
-		// Effect step: delegate to the threaded handler (exact fault
+		// Effect step: delegate to the per-opcode handler (exact fault
 		// semantics); the block loop credits pending and restores PC.
 		steps = append(steps, blockStep{
 			kind: kHandler, h: opFuncs[ins.Op], ins: ins,

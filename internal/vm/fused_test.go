@@ -59,8 +59,8 @@ type runOutcome struct {
 }
 
 // TestFusedCheckMatchesInterp runs the same check over a grid of
-// (branch, target) pairs under the interp and fused engines and
-// demands identical architectural outcomes: fault kind and PC, retired
+// (branch, target) pairs under the interp engine and every blockjit
+// setting and demands identical architectural outcomes: fault kind and PC, retired
 // count, continuation PC, the MCFI scratch registers, and the flags.
 // Every target lands on an HLT, so passing checks terminate
 // deterministically (at the landing pad's PC) rather than by budget.
@@ -72,11 +72,11 @@ func TestFusedCheckMatchesInterp(t *testing.T) {
 	// passing jump always leaves it and lands on the HLT carpet.
 	const blobAddr = 0x8000
 
-	run := func(e Engine, branch, target int) (runOutcome, *Thread) {
+	run := func(c engineCfg, branch, target int) (runOutcome, *Thread) {
 		code, site := checkBlob(t, tb, branch)
 		p := NewProcess()
 		p.Tables = tb
-		p.SetEngine(e)
+		c.apply(p)
 		// Carpet the code region with HLTs so any passing jump faults
 		// at its landing address.
 		for i := visa.CodeBase; i < visa.CodeBase+codeLimit; i++ {
@@ -110,15 +110,17 @@ func TestFusedCheckMatchesInterp(t *testing.T) {
 	}
 	for branch := 0; branch < 8; branch++ {
 		for _, target := range targets {
-			want, _ := run(EngineInterp, branch, target)
-			got, fth := run(EngineFused, branch, target)
-			if want != got {
-				t.Errorf("branch %d target %#x:\n  interp: %+v\n  fused:  %+v",
-					branch, target, want, got)
-			}
-			if fth.FusedExecs != 1 {
-				t.Errorf("branch %d target %#x: FusedExecs = %d, want 1 (fusion did not engage)",
-					branch, target, fth.FusedExecs)
+			want, _ := run(interpCfg, branch, target)
+			for _, c := range fastCfgs() {
+				got, fth := run(c, branch, target)
+				if want != got {
+					t.Errorf("%s branch %d target %#x:\n  interp: %+v\n  %s: %+v",
+						c, branch, target, want, c, got)
+				}
+				if fth.FusedExecs != 1 {
+					t.Errorf("%s branch %d target %#x: FusedExecs = %d, want 1 (fusion did not engage)",
+						c, branch, target, fth.FusedExecs)
+				}
 			}
 		}
 	}
@@ -169,12 +171,12 @@ func TestFusedVerdictCacheHitsAndInstret(t *testing.T) {
 	const iters = 1000
 	const budget = 7 * iters
 
-	run := func(e Engine) (*Thread, error) {
+	run := func(c engineCfg) (*Thread, error) {
 		tb := mk()
 		code, checkStart := spinLoop(t, tb, 0x1000)
 		p := NewProcess()
 		p.Tables = tb
-		p.SetEngine(e)
+		c.apply(p)
 		copy(p.Mem[0x1000:], code)
 		p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
 		p.RegisterCheckSites([]int64{checkStart})
@@ -183,33 +185,35 @@ func TestFusedVerdictCacheHitsAndInstret(t *testing.T) {
 		return th, err
 	}
 
-	ith, ierr := run(EngineInterp)
-	fth, ferr := run(EngineFused)
+	ith, ierr := run(interpCfg)
 	if _, ok := ierr.(*Fault); ok {
 		t.Fatalf("interp spin faulted: %v", ierr)
 	}
-	if _, ok := ferr.(*Fault); ok {
-		t.Fatalf("fused spin faulted: %v", ferr)
-	}
-	if ith.Instret != fth.Instret {
-		t.Errorf("instret diverges: interp %d, fused %d", ith.Instret, fth.Instret)
-	}
-	if fth.FusedExecs != iters {
-		t.Errorf("FusedExecs = %d, want %d", fth.FusedExecs, iters)
-	}
-	if fth.FusedVerdictHits != iters-1 {
-		t.Errorf("FusedVerdictHits = %d, want %d (every pass after the first)",
-			fth.FusedVerdictHits, iters-1)
-	}
-	// The process-wide counters (the serving /metrics source) must
-	// agree with the thread-local ones once Run has flushed.
-	st := fth.P.CheckStatsSnapshot()
-	if st.Execs != fth.FusedExecs || st.VerdictHits != fth.FusedVerdictHits {
-		t.Errorf("process counters %+v diverge from thread (execs %d, hits %d)",
-			st, fth.FusedExecs, fth.FusedVerdictHits)
-	}
-	if st.VerdictMisses != 1 {
-		t.Errorf("VerdictMisses = %d, want 1 (only the first pass)", st.VerdictMisses)
+	for _, c := range fastCfgs() {
+		fth, ferr := run(c)
+		if _, ok := ferr.(*Fault); ok {
+			t.Fatalf("%s spin faulted: %v", c, ferr)
+		}
+		if ith.Instret != fth.Instret {
+			t.Errorf("%s: instret diverges: interp %d, %s %d", c, ith.Instret, c, fth.Instret)
+		}
+		if fth.FusedExecs != iters {
+			t.Errorf("%s: FusedExecs = %d, want %d", c, fth.FusedExecs, iters)
+		}
+		if fth.FusedVerdictHits != iters-1 {
+			t.Errorf("%s: FusedVerdictHits = %d, want %d (every pass after the first)",
+				c, fth.FusedVerdictHits, iters-1)
+		}
+		// The process-wide counters (the serving /metrics source) must
+		// agree with the thread-local ones once Run has flushed.
+		st := fth.P.CheckStatsSnapshot()
+		if st.Execs != fth.FusedExecs || st.VerdictHits != fth.FusedVerdictHits {
+			t.Errorf("%s: process counters %+v diverge from thread (execs %d, hits %d)",
+				c, st, fth.FusedExecs, fth.FusedVerdictHits)
+		}
+		if st.VerdictMisses != 1 {
+			t.Errorf("%s: VerdictMisses = %d, want 1 (only the first pass)", c, st.VerdictMisses)
+		}
 	}
 }
 
@@ -219,7 +223,6 @@ func TestFusedVerdictCacheHitsAndInstret(t *testing.T) {
 // re-load the tables and halt; a verdict surviving the version bump
 // would let an old-CFG edge through the new CFG.
 func TestFusedVerdictDiesOnUpdate(t *testing.T) {
-	tb := tables.New(1<<14, 8)
 	classOf := func(branchClass int) (func(int) int, func(int) int) {
 		return func(addr int) int {
 				if addr == 0x1000 {
@@ -233,96 +236,101 @@ func TestFusedVerdictDiesOnUpdate(t *testing.T) {
 				return -1
 			}
 	}
-	taryF, baryF := classOf(1)
-	tb.Update(taryF, baryF, tables.UpdateOpts{})
+	for _, c := range fastCfgs() {
+		tb := tables.New(1<<14, 8)
+		taryF, baryF := classOf(1)
+		tb.Update(taryF, baryF, tables.UpdateOpts{})
 
-	code, checkStart := spinLoop(t, tb, 0x1000)
-	p := NewProcess()
-	p.Tables = tb
-	p.SetEngine(EngineFused)
-	// Wire the invalidation hook exactly as mrt.New does.
-	tb.OnUpdate(p.BumpCheckEpoch)
-	copy(p.Mem[0x1000:], code)
-	p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
-	p.RegisterCheckSites([]int64{checkStart})
+		code, checkStart := spinLoop(t, tb, 0x1000)
+		p := NewProcess()
+		p.Tables = tb
+		c.apply(p)
+		// Wire the invalidation hook exactly as mrt.New does.
+		tb.OnUpdate(p.BumpCheckEpoch)
+		copy(p.Mem[0x1000:], code)
+		p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
+		p.RegisterCheckSites([]int64{checkStart})
 
-	th := p.NewThread(0x1000, visa.SandboxSize-64)
-	if err := th.Run(700); err != nil {
-		if _, ok := err.(*Fault); ok {
-			t.Fatalf("priming spin faulted: %v", err)
+		th := p.NewThread(0x1000, visa.SandboxSize-64)
+		if err := th.Run(700); err != nil {
+			if _, ok := err.(*Fault); ok {
+				t.Fatalf("%s: priming spin faulted: %v", c, err)
+			}
 		}
-	}
-	if th.FusedVerdictHits == 0 {
-		t.Fatalf("no verdict hits while priming; cache not engaged")
-	}
+		if th.FusedVerdictHits == 0 {
+			t.Fatalf("%s: no verdict hits while priming; cache not engaged", c)
+		}
 
-	// The branch moves to class 2; its only target stays class 1. Both
-	// now carry the same (new) version, so the check must halt.
-	taryF2, baryF2 := classOf(2)
-	tb.Update(taryF2, baryF2, tables.UpdateOpts{})
+		// The branch moves to class 2; its only target stays class 1.
+		// Both now carry the same (new) version, so the check must halt.
+		taryF2, baryF2 := classOf(2)
+		tb.Update(taryF2, baryF2, tables.UpdateOpts{})
 
-	// Run's budget is an absolute Instret bound; extend it past the
-	// priming run's count.
-	err := th.Run(th.Instret + 700)
-	f, ok := err.(*Fault)
-	if !ok || f.Kind != FaultCFI {
-		t.Fatalf("stale verdict survived the update: err=%v (want CFI halt)", err)
-	}
-	if f.PC != checkStart+rewrite.CheckHaltOffset {
-		t.Errorf("halt PC = %#x, want %#x", f.PC, checkStart+rewrite.CheckHaltOffset)
+		// Run's budget is an absolute Instret bound; extend it past the
+		// priming run's count.
+		err := th.Run(th.Instret + 700)
+		f, ok := err.(*Fault)
+		if !ok || f.Kind != FaultCFI {
+			t.Fatalf("%s: stale verdict survived the update: err=%v (want CFI halt)", c, err)
+		}
+		if f.PC != checkStart+rewrite.CheckHaltOffset {
+			t.Errorf("%s: halt PC = %#x, want %#x", c, f.PC, checkStart+rewrite.CheckHaltOffset)
+		}
 	}
 }
 
 // TestFusedRetriesThroughUpdate mirrors
-// TestGuestCheckRetriesThroughUpdate on the fused engine: the spinning
+// TestGuestCheckRetriesThroughUpdate on every blockjit setting: the spinning
 // checked jump keeps passing while a host goroutine re-versions the
 // tables continuously. Run under -race this also exercises the
 // verdict-cache/update-transaction interleavings.
 func TestFusedRetriesThroughUpdate(t *testing.T) {
-	tb := tables.New(1<<14, 8)
-	tb.Update(func(addr int) int {
-		if addr == 0x1000 {
-			return 1
-		}
-		return -1
-	}, func(i int) int {
-		if i == 0 {
-			return 1
-		}
-		return -1
-	}, tables.UpdateOpts{})
-
-	code, checkStart := spinLoop(t, tb, 0x1000)
-	p := NewProcess()
-	p.Tables = tb
-	p.SetEngine(EngineFused)
-	tb.OnUpdate(p.BumpCheckEpoch)
-	copy(p.Mem[0x1000:], code)
-	p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
-	p.RegisterCheckSites([]int64{checkStart})
-	th := p.NewThread(0x1000, visa.SandboxSize-64)
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				tb.Reversion(tables.UpdateOpts{})
+	for _, c := range fastCfgs() {
+		tb := tables.New(1<<14, 8)
+		tb.Update(func(addr int) int {
+			if addr == 0x1000 {
+				return 1
 			}
+			return -1
+		}, func(i int) int {
+			if i == 0 {
+				return 1
+			}
+			return -1
+		}, tables.UpdateOpts{})
+
+		code, checkStart := spinLoop(t, tb, 0x1000)
+		p := NewProcess()
+		p.Tables = tb
+		c.apply(p)
+		tb.OnUpdate(p.BumpCheckEpoch)
+		copy(p.Mem[0x1000:], code)
+		p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
+		p.RegisterCheckSites([]int64{checkStart})
+		th := p.NewThread(0x1000, visa.SandboxSize-64)
+
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					tb.Reversion(tables.UpdateOpts{})
+				}
+			}
+		}()
+		err := th.Run(300_000)
+		close(stop)
+		<-done
+		if f, ok := err.(*Fault); ok {
+			t.Fatalf("%s: fused checked jump faulted under concurrent updates: %v", c, f)
 		}
-	}()
-	err := th.Run(300_000)
-	close(stop)
-	<-done
-	if f, ok := err.(*Fault); ok {
-		t.Fatalf("fused checked jump faulted under concurrent updates: %v", f)
-	}
-	if th.FusedExecs == 0 {
-		t.Error("fusion did not engage")
+		if th.FusedExecs == 0 {
+			t.Errorf("%s: fusion did not engage", c)
+		}
 	}
 }
 
@@ -339,32 +347,34 @@ func TestFusedFallbackOnNonCanonicalSite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(e Engine) *Thread {
+	run := func(c engineCfg) *Thread {
 		tb := tables.New(1<<14, 8)
 		p := NewProcess()
 		p.Tables = tb
-		p.SetEngine(e)
+		c.apply(p)
 		copy(p.Mem[0x1000:], a.Code)
 		p.Protect(0x1000, int64(len(a.Code)), visa.ProtRead|visa.ProtExec)
 		p.RegisterCheckSites([]int64{0x1000}) // bogus: not a check
 		th := p.NewThread(0x1000, visa.SandboxSize-64)
 		err := th.Run(100)
 		if f, ok := err.(*Fault); !ok || f.Kind != FaultCFI {
-			t.Fatalf("engine %s: want the trailing hlt, got %v", e, err)
+			t.Fatalf("%s: want the trailing hlt, got %v", c, err)
 		}
 		return th
 	}
 
-	ith := run(EngineInterp)
-	fth := run(EngineFused)
-	if ith.Instret != fth.Instret || ith.Reg[visa.R1] != fth.Reg[visa.R1] {
-		t.Errorf("fallback diverges: interp (instret=%d r1=%d) fused (instret=%d r1=%d)",
-			ith.Instret, ith.Reg[visa.R1], fth.Instret, fth.Reg[visa.R1])
-	}
-	if fth.Reg[visa.R1] != 42 {
-		t.Errorf("r1 = %d, want 42", fth.Reg[visa.R1])
-	}
-	if fth.FusedExecs != 0 {
-		t.Errorf("FusedExecs = %d, want 0 (non-canonical bytes must not fuse)", fth.FusedExecs)
+	ith := run(interpCfg)
+	for _, c := range fastCfgs() {
+		fth := run(c)
+		if ith.Instret != fth.Instret || ith.Reg[visa.R1] != fth.Reg[visa.R1] {
+			t.Errorf("fallback diverges: interp (instret=%d r1=%d) %s (instret=%d r1=%d)",
+				ith.Instret, ith.Reg[visa.R1], c, fth.Instret, fth.Reg[visa.R1])
+		}
+		if fth.Reg[visa.R1] != 42 {
+			t.Errorf("%s: r1 = %d, want 42", c, fth.Reg[visa.R1])
+		}
+		if fth.FusedExecs != 0 {
+			t.Errorf("%s: FusedExecs = %d, want 0 (non-canonical bytes must not fuse)", c, fth.FusedExecs)
+		}
 	}
 }

@@ -1,15 +1,13 @@
-// Direct-threaded dispatch engine. The cached engine still pays a
-// per-step opcode switch after its cache hit; EngineThreaded stores
-// each slot's operation func pointer alongside the predecoded
-// visa.Instr (the opFusedCheck slot-rewriting mechanism generalized to
-// every opcode), so executing one instruction is a single indirect
-// call. The engine's run loop also hoists the exit/cancel/budget
-// polling out of the per-instruction path: the inner loop runs
-// straight-line until the same 1024-retired-instruction watermark the
-// generic Run loop uses, so cancellation latency is unchanged.
+// Direct-threaded dispatch: the per-opcode handler table behind
+// EngineBlockJIT's cold path. Every predecoded icache slot stores its
+// operation's func pointer alongside the visa.Instr, so executing one
+// cold instruction is a single indirect call, and compiled blocks
+// delegate their effectful steps to the same handlers, so fault
+// semantics live in exactly one place (runBlockJIT in blockjit.go is
+// the run loop).
 //
-// On top of pointer dispatch the threaded engine fuses two sequence
-// shapes at icache-fill time:
+// On top of pointer dispatch, predecode fuses two sequence shapes at
+// icache-fill time:
 //
 //   - check + indirect branch: the jmpr/callr/jrestore following a
 //     fused check transaction (plus the rewriter's alignment NOPs)
@@ -29,9 +27,7 @@
 package vm
 
 import (
-	"fmt"
 	"math"
-	"sync/atomic"
 
 	"mcfi/internal/rewrite"
 	"mcfi/internal/visa"
@@ -46,7 +42,8 @@ type stepFn func(t *Thread, ins *visa.Instr, pc, next int64) error
 
 // opFuncs maps every opcode (including the fused pseudo-opcodes) to
 // its handler; unknown bytes get the decode-fault handler. Built once
-// at init, mirroring Step's switch case for case.
+// at init, mirroring Step's switch case for case (Step never sees the
+// pseudo-opcodes: raw decoding rejects their bytes).
 var opFuncs [256]stepFn
 
 // storeInsSize is the encoded size of the STx instructions (they share
@@ -561,65 +558,6 @@ func stepJcc(t *Thread, ins *visa.Instr, pc, next int64) error {
 	}
 	t.PC = next
 	return nil
-}
-
-// runThreaded is EngineThreaded's run loop. The outer block performs
-// exactly the checks the generic Run loop does at its poll points —
-// budget, exit, cancellation, counter flush — and the inner loop then
-// executes without per-step checks until the next watermark: the same
-// 1024-retired-instruction cadence, with the budget clamped in so
-// exhaustion is detected on the precise instruction, not at the next
-// flush. The fetch is open-coded in the loop (rather than a cacheHit
-// call) because the call itself is measurable at this dispatch rate;
-// the unsigned page-index compare folds the pc<0 check into the bounds
-// check.
-func (t *Thread) runThreaded(maxInstr int64) error {
-	p := t.P
-	icache := p.icache
-	for {
-		if maxInstr > 0 && t.Instret >= maxInstr {
-			return fmt.Errorf("%w (limit %d)", ErrBudget, maxInstr)
-		}
-		if p.exited.Load() {
-			return ErrExited
-		}
-		if p.cancelled.Load() {
-			return ErrCancelled
-		}
-		t.flushCounters()
-		limit := t.flushed + 1024
-		if maxInstr > 0 && maxInstr < limit {
-			limit = maxInstr
-		}
-		for t.Instret < limit {
-			pc := t.PC
-			if pg := uint64(pc) / PageSize; pg < uint64(len(icache)) {
-				if c := icache[pg].Load(); c != nil {
-					off := int(pc & (PageSize - 1))
-					if atomic.LoadUint32(&c.valid[off>>5])&(uint32(1)<<(off&31)) != 0 {
-						s := &c.slots[off]
-						if err := s.fn(t, &s.ins, pc, pc+int64(s.size)); err != nil {
-							return err
-						}
-						continue
-					}
-				}
-			}
-			// Miss: check executability, fill the slot, dispatch once
-			// from the fill result (the slot may not have been cached if
-			// the page raced an invalidation).
-			if p.Prot(pc)&visa.ProtExec == 0 {
-				return t.fault(FaultExec, "pc %#x not executable", pc)
-			}
-			ins, size, err := p.cacheFill(pc)
-			if err != nil {
-				return t.fault(FaultDecode, "%v", err)
-			}
-			if err := opFuncs[ins.Op](t, ins, pc, pc+int64(size)); err != nil {
-				return err
-			}
-		}
-	}
 }
 
 // tryFuseTrace upgrades a freshly decoded instruction into a trace

@@ -9,9 +9,9 @@ import (
 	"mcfi/internal/visa"
 )
 
-// threadedOutcome runs one thread to a fault/budget stop and captures
-// everything architecturally observable (the fused_test runOutcome plus
-// nothing — same struct).
+// threadedOutcome captures everything architecturally observable about
+// a thread stopped by a fault or its budget (fused_test.go's
+// runOutcome).
 func threadedOutcome(th *Thread, err error) runOutcome {
 	out := runOutcome{
 		instret: th.Instret, pc: th.PC,
@@ -24,8 +24,8 @@ func threadedOutcome(th *Thread, err error) runOutcome {
 	return out
 }
 
-// TestThreadedCheckMatchesInterp is the fused grid test on the
-// threaded engine: the blob is a tail-jump check whose jmpr folds into
+// TestThreadedCheckMatchesInterp is the fused grid with the indirect
+// branch folded: the blob is a tail-jump check whose jmpr folds into
 // the superinstruction, so every (branch, target) outcome — pass,
 // invalid-bit halt, same-version halt — exercises the folded-branch
 // path against the interp reference.
@@ -34,11 +34,11 @@ func TestThreadedCheckMatchesInterp(t *testing.T) {
 	tb := fusedGrid(t)
 	const blobAddr = 0x8000
 
-	run := func(e Engine, branch, target int) (runOutcome, *Thread) {
+	run := func(c engineCfg, branch, target int) (runOutcome, *Thread) {
 		code, site := checkBlob(t, tb, branch)
 		p := NewProcess()
 		p.Tables = tb
-		p.SetEngine(e)
+		c.apply(p)
 		for i := visa.CodeBase; i < visa.CodeBase+codeLimit; i++ {
 			p.Mem[i] = byte(visa.HLT)
 		}
@@ -62,15 +62,17 @@ func TestThreadedCheckMatchesInterp(t *testing.T) {
 	}
 	for branch := 0; branch < 8; branch++ {
 		for _, target := range targets {
-			want, _ := run(EngineInterp, branch, target)
-			got, tth := run(EngineThreaded, branch, target)
-			if want != got {
-				t.Errorf("branch %d target %#x:\n  interp:   %+v\n  threaded: %+v",
-					branch, target, want, got)
-			}
-			if tth.FusedExecs != 1 {
-				t.Errorf("branch %d target %#x: FusedExecs = %d, want 1 (fusion did not engage)",
-					branch, target, tth.FusedExecs)
+			want, _ := run(interpCfg, branch, target)
+			for _, c := range fastCfgs() {
+				got, tth := run(c, branch, target)
+				if want != got {
+					t.Errorf("%s branch %d target %#x:\n  interp: %+v\n  %s: %+v",
+						c, branch, target, want, c, got)
+				}
+				if tth.FusedExecs != 1 {
+					t.Errorf("%s branch %d target %#x: FusedExecs = %d, want 1 (fusion did not engage)",
+						c, branch, target, tth.FusedExecs)
+				}
 			}
 		}
 	}
@@ -100,12 +102,12 @@ func TestThreadedVerdictFoldInstret(t *testing.T) {
 	const iters = 1000
 	const budget = 7 * iters
 
-	run := func(e Engine) (*Thread, error) {
+	run := func(c engineCfg) (*Thread, error) {
 		tb := mk()
 		code, checkStart := spinLoop(t, tb, 0x1000)
 		p := NewProcess()
 		p.Tables = tb
-		p.SetEngine(e)
+		c.apply(p)
 		copy(p.Mem[0x1000:], code)
 		p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
 		p.RegisterCheckSites([]int64{checkStart})
@@ -114,22 +116,24 @@ func TestThreadedVerdictFoldInstret(t *testing.T) {
 		return th, err
 	}
 
-	ith, ierr := run(EngineInterp)
-	tth, terr := run(EngineThreaded)
+	ith, ierr := run(interpCfg)
 	if _, ok := ierr.(*Fault); ok {
 		t.Fatalf("interp spin faulted: %v", ierr)
 	}
-	if _, ok := terr.(*Fault); ok {
-		t.Fatalf("threaded spin faulted: %v", terr)
-	}
-	if ith.Instret != tth.Instret {
-		t.Errorf("instret diverges: interp %d, threaded %d", ith.Instret, tth.Instret)
-	}
-	if tth.FusedExecs != iters {
-		t.Errorf("FusedExecs = %d, want %d", tth.FusedExecs, iters)
-	}
-	if tth.FusedVerdictHits != iters-1 {
-		t.Errorf("FusedVerdictHits = %d, want %d", tth.FusedVerdictHits, iters-1)
+	for _, c := range fastCfgs() {
+		tth, terr := run(c)
+		if _, ok := terr.(*Fault); ok {
+			t.Fatalf("%s spin faulted: %v", c, terr)
+		}
+		if ith.Instret != tth.Instret {
+			t.Errorf("%s: instret diverges: interp %d, %s %d", c, ith.Instret, c, tth.Instret)
+		}
+		if tth.FusedExecs != iters {
+			t.Errorf("%s: FusedExecs = %d, want %d", c, tth.FusedExecs, iters)
+		}
+		if tth.FusedVerdictHits != iters-1 {
+			t.Errorf("%s: FusedVerdictHits = %d, want %d", c, tth.FusedVerdictHits, iters-1)
+		}
 	}
 }
 
@@ -158,11 +162,11 @@ func TestThreadedFoldedCallr(t *testing.T) {
 	tb := fusedGrid(t)
 	const blobAddr = 0x8000
 
-	run := func(e Engine, target int, sp int64) (runOutcome, *Thread, *Process) {
+	run := func(c engineCfg, target int, sp int64) (runOutcome, *Thread, *Process) {
 		code, site := callrBlob(t, tb, 0)
 		p := NewProcess()
 		p.Tables = tb
-		p.SetEngine(e)
+		c.apply(p)
 		for i := visa.CodeBase; i < visa.CodeBase+codeLimit; i++ {
 			p.Mem[i] = byte(visa.HLT)
 		}
@@ -175,35 +179,37 @@ func TestThreadedFoldedCallr(t *testing.T) {
 		return threadedOutcome(th, err), th, p
 	}
 
-	// Passing call: lands on the HLT carpet with the return address
-	// pushed; compare the stack word too.
-	wantOut, wantTh, wantP := run(EngineInterp, 0x1000, visa.SandboxSize-64)
-	gotOut, gotTh, gotP := run(EngineThreaded, 0x1000, visa.SandboxSize-64)
-	if wantOut != gotOut {
-		t.Errorf("pass: interp %+v != threaded %+v", wantOut, gotOut)
-	}
-	if wantTh.Reg[visa.SP] != gotTh.Reg[visa.SP] {
-		t.Errorf("pass: SP diverges: %#x vs %#x", wantTh.Reg[visa.SP], gotTh.Reg[visa.SP])
-	}
-	sp := wantTh.Reg[visa.SP]
-	for i := int64(0); i < 8; i++ {
-		if wantP.Mem[sp+i] != gotP.Mem[sp+i] {
-			t.Errorf("pass: pushed return address diverges at +%d: %#x vs %#x",
-				i, wantP.Mem[sp+i], gotP.Mem[sp+i])
+	for _, c := range fastCfgs() {
+		// Passing call: lands on the HLT carpet with the return address
+		// pushed; compare the stack word too.
+		wantOut, wantTh, wantP := run(interpCfg, 0x1000, visa.SandboxSize-64)
+		gotOut, gotTh, gotP := run(c, 0x1000, visa.SandboxSize-64)
+		if wantOut != gotOut {
+			t.Errorf("%s pass: interp %+v != %+v", c, wantOut, gotOut)
 		}
-	}
-	if gotTh.FusedExecs != 1 {
-		t.Errorf("pass: FusedExecs = %d, want 1", gotTh.FusedExecs)
-	}
+		if wantTh.Reg[visa.SP] != gotTh.Reg[visa.SP] {
+			t.Errorf("%s pass: SP diverges: %#x vs %#x", c, wantTh.Reg[visa.SP], gotTh.Reg[visa.SP])
+		}
+		sp := wantTh.Reg[visa.SP]
+		for i := int64(0); i < 8; i++ {
+			if wantP.Mem[sp+i] != gotP.Mem[sp+i] {
+				t.Errorf("%s pass: pushed return address diverges at +%d: %#x vs %#x",
+					c, i, wantP.Mem[sp+i], gotP.Mem[sp+i])
+			}
+		}
+		if gotTh.FusedExecs != 1 {
+			t.Errorf("%s pass: FusedExecs = %d, want 1", c, gotTh.FusedExecs)
+		}
 
-	// Faulting push: SP in the unmapped guard band.
-	wantOut, _, _ = run(EngineInterp, 0x1000, 8)
-	gotOut, _, _ = run(EngineThreaded, 0x1000, 8)
-	if wantOut != gotOut {
-		t.Errorf("push fault: interp %+v != threaded %+v", wantOut, gotOut)
-	}
-	if !gotOut.faulted || gotOut.faultKind != FaultMem {
-		t.Errorf("push fault: got %+v, want a memory fault at the callr", gotOut)
+		// Faulting push: SP in the unmapped guard band.
+		wantOut, _, _ = run(interpCfg, 0x1000, 8)
+		gotOut, _, _ = run(c, 0x1000, 8)
+		if wantOut != gotOut {
+			t.Errorf("%s push fault: interp %+v != %+v", c, wantOut, gotOut)
+		}
+		if !gotOut.faulted || gotOut.faultKind != FaultMem {
+			t.Errorf("%s push fault: got %+v, want a memory fault at the callr", c, gotOut)
+		}
 	}
 }
 
@@ -225,7 +231,7 @@ func pltBlob(t *testing.T, tb *tables.Tables, branch int, gotAddr int64) []byte 
 }
 
 // TestThreadedPLTCheckMatchesInterp runs the PLT-stub template over the
-// (branch, target) grid on the fused and threaded engines: the GOT
+// (branch, target) grid on every blockjit setting: the GOT
 // slot holds the target, the stub reloads it each round, and both the
 // pass and halt paths must match interp bit-exactly — as must a GOT
 // slot on an unmapped page, whose ld64 faults mid-superinstruction.
@@ -235,11 +241,11 @@ func TestThreadedPLTCheckMatchesInterp(t *testing.T) {
 	const blobAddr = 0x8000
 	const gotPage = int64(0x4000)
 
-	run := func(e Engine, branch, target int, gotAddr int64) (runOutcome, *Thread) {
+	run := func(c engineCfg, branch, target int, gotAddr int64) (runOutcome, *Thread) {
 		code := pltBlob(t, tb, branch, gotAddr)
 		p := NewProcess()
 		p.Tables = tb
-		p.SetEngine(e)
+		c.apply(p)
 		for i := visa.CodeBase; i < visa.CodeBase+codeLimit; i++ {
 			p.Mem[i] = byte(visa.HLT)
 		}
@@ -262,10 +268,10 @@ func TestThreadedPLTCheckMatchesInterp(t *testing.T) {
 		0x1002,        // misaligned -> invalid
 		0x9000,        // outside the table
 	}
-	for _, e := range []Engine{EngineFused, EngineThreaded} {
-		for branch := 0; branch < 4; branch++ {
-			for _, target := range targets {
-				want, _ := run(EngineInterp, branch, target, gotPage)
+	for branch := 0; branch < 4; branch++ {
+		for _, target := range targets {
+			want, _ := run(interpCfg, branch, target, gotPage)
+			for _, e := range fastCfgs() {
 				got, th := run(e, branch, target, gotPage)
 				if want != got {
 					t.Errorf("%s branch %d target %#x:\n  interp: %+v\n  %s: %+v",
@@ -277,8 +283,10 @@ func TestThreadedPLTCheckMatchesInterp(t *testing.T) {
 				}
 			}
 		}
-		// GOT slot on an unmapped page: the ld64 reload faults.
-		want, _ := run(EngineInterp, 0, 0x1000, int64(visa.SandboxSize))
+	}
+	// GOT slot on an unmapped page: the ld64 reload faults.
+	want, _ := run(interpCfg, 0, 0x1000, int64(visa.SandboxSize))
+	for _, e := range fastCfgs() {
 		got, _ := run(e, 0, 0x1000, int64(visa.SandboxSize))
 		if want != got {
 			t.Errorf("%s GOT fault: interp %+v != %s %+v", e, want, e, got)
@@ -316,12 +324,12 @@ func TestThreadedPLTVerdictCache(t *testing.T) {
 	const iters = 500
 	const budget = 8 * iters
 
-	run := func(e Engine) (*Thread, error) {
+	run := func(c engineCfg) (*Thread, error) {
 		tb := mk()
 		code := pltBlob(t, tb, 0, gotPage)
 		p := NewProcess()
 		p.Tables = tb
-		p.SetEngine(e)
+		c.apply(p)
 		copy(p.Mem[stub:], code)
 		p.Protect(stub, int64(len(code)), visa.ProtRead|visa.ProtExec)
 		p.Protect(gotPage, PageSize, visa.ProtRead|visa.ProtWrite)
@@ -334,22 +342,24 @@ func TestThreadedPLTVerdictCache(t *testing.T) {
 		return th, err
 	}
 
-	ith, ierr := run(EngineInterp)
-	tth, terr := run(EngineThreaded)
+	ith, ierr := run(interpCfg)
 	if _, ok := ierr.(*Fault); ok {
 		t.Fatalf("interp PLT spin faulted: %v", ierr)
 	}
-	if _, ok := terr.(*Fault); ok {
-		t.Fatalf("threaded PLT spin faulted: %v", terr)
-	}
-	if ith.Instret != tth.Instret {
-		t.Errorf("instret diverges: interp %d, threaded %d", ith.Instret, tth.Instret)
-	}
-	if tth.FusedPLTExecs != iters {
-		t.Errorf("FusedPLTExecs = %d, want %d", tth.FusedPLTExecs, iters)
-	}
-	if tth.FusedVerdictHits != iters-1 {
-		t.Errorf("FusedVerdictHits = %d, want %d", tth.FusedVerdictHits, iters-1)
+	for _, c := range fastCfgs() {
+		tth, terr := run(c)
+		if _, ok := terr.(*Fault); ok {
+			t.Fatalf("%s PLT spin faulted: %v", c, terr)
+		}
+		if ith.Instret != tth.Instret {
+			t.Errorf("%s: instret diverges: interp %d, %s %d", c, ith.Instret, c, tth.Instret)
+		}
+		if tth.FusedPLTExecs != iters {
+			t.Errorf("%s: FusedPLTExecs = %d, want %d", c, tth.FusedPLTExecs, iters)
+		}
+		if tth.FusedVerdictHits != iters-1 {
+			t.Errorf("%s: FusedVerdictHits = %d, want %d", c, tth.FusedVerdictHits, iters-1)
+		}
 	}
 }
 
@@ -370,10 +380,10 @@ func TestThreadedTraceMaskStore(t *testing.T) {
 		return a.Code
 	}
 
-	run := func(e Engine, dst int64, writable bool) (runOutcome, *Process, *Thread) {
+	run := func(c engineCfg, dst int64, writable bool) (runOutcome, *Process, *Thread) {
 		code := build(dst)
 		p := NewProcess()
-		p.SetEngine(e)
+		c.apply(p)
 		copy(p.Mem[0x1000:], code)
 		p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
 		prot := uint32(visa.ProtRead)
@@ -386,100 +396,104 @@ func TestThreadedTraceMaskStore(t *testing.T) {
 		return threadedOutcome(th, err), p, th
 	}
 
-	for _, c := range []struct {
-		name     string
-		dst      int64
-		writable bool
-	}{
-		{"store-ok", 0x4000, true},
-		{"store-fault", 0x4000, false},
-		// The mask matters: an address with bits above the sandbox set
-		// must be wrapped into range before the store.
-		{"mask-applies", 0x4000 | (1 << 40), true},
-	} {
-		want, wp, wth := run(EngineInterp, c.dst, c.writable)
-		got, gp, gth := run(EngineThreaded, c.dst, c.writable)
-		if want != got {
-			t.Errorf("%s: interp %+v != threaded %+v", c.name, want, got)
-		}
-		if wth.Reg[visa.R1] != gth.Reg[visa.R1] || wth.Reg[visa.R2] != gth.Reg[visa.R2] {
-			t.Errorf("%s: registers diverge: r1 %#x/%#x r2 %#x/%#x", c.name,
-				wth.Reg[visa.R1], gth.Reg[visa.R1], wth.Reg[visa.R2], gth.Reg[visa.R2])
-		}
-		for i := int64(0); i < 16; i++ {
-			if wp.Mem[0x4000+i] != gp.Mem[0x4000+i] {
-				t.Errorf("%s: memory diverges at %#x: %#x vs %#x",
-					c.name, 0x4000+i, wp.Mem[0x4000+i], gp.Mem[0x4000+i])
+	for _, e := range fastCfgs() {
+		for _, c := range []struct {
+			name     string
+			dst      int64
+			writable bool
+		}{
+			{"store-ok", 0x4000, true},
+			{"store-fault", 0x4000, false},
+			// The mask matters: an address with bits above the sandbox
+			// set must be wrapped into range before the store.
+			{"mask-applies", 0x4000 | (1 << 40), true},
+		} {
+			want, wp, wth := run(interpCfg, c.dst, c.writable)
+			got, gp, gth := run(e, c.dst, c.writable)
+			if want != got {
+				t.Errorf("%s %s: interp %+v != %+v", e, c.name, want, got)
+			}
+			if wth.Reg[visa.R1] != gth.Reg[visa.R1] || wth.Reg[visa.R2] != gth.Reg[visa.R2] {
+				t.Errorf("%s %s: registers diverge: r1 %#x/%#x r2 %#x/%#x", e, c.name,
+					wth.Reg[visa.R1], gth.Reg[visa.R1], wth.Reg[visa.R2], gth.Reg[visa.R2])
+			}
+			for i := int64(0); i < 16; i++ {
+				if wp.Mem[0x4000+i] != gp.Mem[0x4000+i] {
+					t.Errorf("%s %s: memory diverges at %#x: %#x vs %#x",
+						e, c.name, 0x4000+i, wp.Mem[0x4000+i], gp.Mem[0x4000+i])
+				}
 			}
 		}
 	}
 }
 
-// TestThreadedFillInvalidateRace drives the threaded engine's
-// fill/fold path while a host goroutine keeps flipping the code
+// TestThreadedFillInvalidateRace drives the icache fill/fold path and
+// block compilation while a host goroutine keeps flipping the code
 // pages' protection (the dlopen rebasing pattern) and re-registering
-// check sites. Under -race this exercises slot publication against
-// invalidation; semantically the spin must never fault, because every
-// protection transition leaves the code executable again and the
-// epoch bump only forces re-validation.
+// check sites. Under -race this exercises slot and block publication
+// against invalidation; semantically the spin must never fault,
+// because every protection transition leaves the code executable
+// again and the epoch bump only forces re-validation.
 func TestThreadedFillInvalidateRace(t *testing.T) {
-	tb := tables.New(1<<14, 8)
-	tb.Update(func(addr int) int {
-		if addr == 0x1000 {
-			return 1
-		}
-		return -1
-	}, func(i int) int {
-		if i == 0 {
-			return 1
-		}
-		return -1
-	}, tables.UpdateOpts{})
-
-	code, checkStart := spinLoop(t, tb, 0x1000)
-	p := NewProcess()
-	p.Tables = tb
-	p.SetEngine(EngineThreaded)
-	tb.OnUpdate(p.BumpCheckEpoch)
-	copy(p.Mem[0x1000:], code)
-	p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
-	p.RegisterCheckSites([]int64{checkStart})
-	th := p.NewThread(0x1000, visa.SandboxSize-64)
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				// The dlopen pattern: W^X flip, register, flip back.
-				p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
-				p.RegisterCheckSites([]int64{checkStart})
+	for _, c := range fastCfgs() {
+		tb := tables.New(1<<14, 8)
+		tb.Update(func(addr int) int {
+			if addr == 0x1000 {
+				return 1
 			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				tb.Reversion(tables.UpdateOpts{})
+			return -1
+		}, func(i int) int {
+			if i == 0 {
+				return 1
 			}
+			return -1
+		}, tables.UpdateOpts{})
+
+		code, checkStart := spinLoop(t, tb, 0x1000)
+		p := NewProcess()
+		p.Tables = tb
+		c.apply(p)
+		tb.OnUpdate(p.BumpCheckEpoch)
+		copy(p.Mem[0x1000:], code)
+		p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
+		p.RegisterCheckSites([]int64{checkStart})
+		th := p.NewThread(0x1000, visa.SandboxSize-64)
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					// The dlopen pattern: W^X flip, register, flip back.
+					p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
+					p.RegisterCheckSites([]int64{checkStart})
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					tb.Reversion(tables.UpdateOpts{})
+				}
+			}
+		}()
+		err := th.Run(500_000)
+		close(stop)
+		wg.Wait()
+		if f, ok := err.(*Fault); ok {
+			t.Fatalf("%s: spin faulted under invalidate storm: %v", c, f)
 		}
-	}()
-	err := th.Run(500_000)
-	close(stop)
-	wg.Wait()
-	if f, ok := err.(*Fault); ok {
-		t.Fatalf("threaded spin faulted under invalidate storm: %v", f)
-	}
-	if th.FusedExecs == 0 {
-		t.Error("fusion did not engage")
+		if th.FusedExecs == 0 {
+			t.Errorf("%s: fusion did not engage", c)
+		}
 	}
 }

@@ -11,16 +11,14 @@
 // is the deterministic cost metric behind the Fig. 5/6 overhead
 // experiments (extra executed instrumentation = overhead).
 //
-// The fetch engines — one per rung of the perf ladder, enumerated by
-// Engines() in cache.go — all retire the exact same instruction
-// stream, so the cost metric is engine-independent: EngineInterp
-// decodes raw bytes every step; EngineCached predecodes each
-// instruction once per executable-page generation; EngineFused adds
-// check-transaction superinstructions (fused.go); EngineThreaded, the
-// default, dispatches through per-slot func pointers with branch
-// folding and trace superinstructions (threaded.go); EngineBlockJIT
-// compiles hot straight-line blocks into composed closures
-// (blockjit.go).
+// Two engines, enumerated by Engines() in engineflag.go, retire the
+// exact same instruction stream, so the cost metric is
+// engine-independent. EngineInterp (Step) decodes raw bytes every
+// step and is the reference semantics. EngineBlockJIT, the default
+// and only fast path, runs cold code through per-slot handlers of a
+// predecoded instruction cache (cache.go, threaded.go) with each check
+// transaction fused into one superinstruction (fused.go), and compiles
+// hot straight-line blocks into pre-bound traces (blockjit.go).
 package vm
 
 import (
@@ -157,8 +155,9 @@ type Process struct {
 	// Handler interposes on system calls.
 	Handler SyscallHandler
 
-	// engine selects the fetch implementation (default EngineThreaded);
-	// icache is the per-page predecoded instruction cache it uses.
+	// engine selects the execution engine (default EngineBlockJIT);
+	// icache is the per-page predecoded instruction cache its cold
+	// path dispatches from.
 	engine Engine
 	icache []atomic.Pointer[pageCache]
 
@@ -167,7 +166,7 @@ type Process struct {
 	fused fusedState
 
 	// jit holds the block compiler's profiling counters, compiled
-	// blocks, and threshold (EngineBlockJIT; see blockjit.go).
+	// blocks, and threshold (see blockjit.go).
 	jit jitState
 
 	exited   atomic.Bool
@@ -195,7 +194,7 @@ type Process struct {
 	pltExecs    atomic.Int64
 
 	// icacheFills counts cold predecodes into the per-page instruction
-	// cache — the cache-miss side of the perf ladder, exported for
+	// cache — the fast path's cache-miss side, exported for
 	// tracing (a first run on a replica shows a fill burst; a warm
 	// verdict-cached run shows none).
 	icacheFills atomic.Int64
@@ -296,9 +295,9 @@ func (p *Process) CancelChan() <-chan struct{} { return p.cancelCh }
 // CheckStats is a lock-free snapshot of the process's MCFI
 // check-transaction counters (the serving /metrics source).
 type CheckStats struct {
-	// Execs counts fused check transactions executed (EngineFused
-	// superinstruction dispatches; the other engines retire checks as
-	// ordinary instructions and do not count here).
+	// Execs counts fused check transactions executed (EngineBlockJIT
+	// superinstruction dispatches; EngineInterp retires checks as
+	// ordinary instructions and does not count here).
 	Execs int64
 	// Halts counts halted checks — CFI faults — under every engine.
 	Halts int64
@@ -314,7 +313,7 @@ type CheckStats struct {
 	// ICacheFills counts cold predecodes into the per-page instruction
 	// cache (zero under EngineInterp, which never caches).
 	ICacheFills int64
-	// Block-compiler counters (EngineBlockJIT; zero elsewhere).
+	// Block-compiler counters (EngineBlockJIT; zero under interp).
 	// JITBlocks counts blocks compiled and JITCompileNanos the host
 	// time spent compiling them; JITBlockRuns counts compiled-block
 	// dispatches and JITColdSteps single-instruction (cold or
@@ -414,8 +413,8 @@ type Thread struct {
 	flushedPLT       int64
 
 	// JITBlockRuns counts compiled-block dispatches by this thread;
-	// JITColdSteps counts its single-instruction dispatches under
-	// EngineBlockJIT. Flushed at the same watermark cadence.
+	// JITColdSteps counts its single-instruction dispatches. Flushed at
+	// the same watermark cadence.
 	JITBlockRuns     int64
 	JITColdSteps     int64
 	flushedBlockRuns int64
@@ -447,9 +446,10 @@ func (t *Thread) cfiFault(check CheckKind, target int64, format string, args ...
 	}
 }
 
-// cfiHalt classifies a plain hlt retirement by position. The
-// non-fusing engines execute check transactions as ordinary
-// instructions, so a halted check surfaces here as a hlt at a known
+// cfiHalt classifies a plain hlt retirement by position. A check
+// transaction executed as ordinary instructions — always under the
+// interpreter, and on the fast path after a fused check hands a retry
+// storm back to per-instruction dispatch — halts here, at a known
 // offset inside a registered site; a hlt anywhere else is a direct
 // control transfer into rewritten padding. Classification keeps the
 // Fault identical across engines (the differential tests compare
@@ -625,10 +625,7 @@ func (t *Thread) flushCounters() {
 // skips values and an exact-multiple test would miss flushes.
 func (t *Thread) Run(maxInstr int64) error {
 	defer t.flushCounters()
-	switch t.P.engine {
-	case EngineThreaded:
-		return t.runThreaded(maxInstr)
-	case EngineBlockJIT:
+	if t.P.engine != EngineInterp {
 		return t.runBlockJIT(maxInstr)
 	}
 	poll := true
@@ -652,37 +649,18 @@ func (t *Thread) Run(maxInstr int64) error {
 	}
 }
 
-// Step executes one instruction.
+// Step executes one instruction the reference way: check the page is
+// executable, decode the raw bytes, and retire the decoded
+// instruction. It is EngineInterp's whole fetch-execute path, and the
+// semantics every handler of the fast path reproduces.
 func (t *Thread) Step() error {
 	pc := t.PC
-	var ins *visa.Instr
-	var size int
-	if t.P.engine != EngineInterp {
-		// Fast path: a valid cache entry implies the page was
-		// executable when it was filled and no protection transition
-		// has happened since (Protect invalidates on every call), so
-		// the per-step Prot check is skipped entirely.
-		var ok bool
-		ins, size, ok = t.P.cacheHit(pc)
-		if !ok {
-			if t.P.Prot(pc)&visa.ProtExec == 0 {
-				return t.fault(FaultExec, "pc %#x not executable", pc)
-			}
-			var err error
-			ins, size, err = t.P.cacheFill(pc)
-			if err != nil {
-				return t.fault(FaultDecode, "%v", err)
-			}
-		}
-	} else {
-		if t.P.Prot(pc)&visa.ProtExec == 0 {
-			return t.fault(FaultExec, "pc %#x not executable", pc)
-		}
-		i, n, err := visa.Decode(t.P.Mem, int(pc))
-		if err != nil {
-			return t.fault(FaultDecode, "%v", err)
-		}
-		ins, size = &i, n
+	if t.P.Prot(pc)&visa.ProtExec == 0 {
+		return t.fault(FaultExec, "pc %#x not executable", pc)
+	}
+	ins, size, err := visa.Decode(t.P.Mem, int(pc))
+	if err != nil {
+		return t.fault(FaultDecode, "%v", err)
 	}
 	next := pc + int64(size)
 	t.Instret++
@@ -692,17 +670,6 @@ func (t *Thread) Step() error {
 	case visa.NOP:
 	case visa.HLT:
 		return t.cfiHalt()
-	case opFusedCheck:
-		// The fused check transaction manages PC, flags, and Instret
-		// itself (Instret++ above covered its leading and32).
-		return t.stepFused(pc, ins)
-	case opFusedCheckPLT:
-		// PLT variant: Instret++ above covered the stub's leading movi.
-		return t.stepFusedPLT(pc, ins)
-	case opTraceMaskStore:
-		// Fused sandbox-mask + store pair: Instret++ above covered the
-		// andi; the handler retires and performs the store.
-		return t.stepTraceMaskStore(ins, next)
 	case visa.MOVI:
 		r[ins.R1] = ins.Imm
 	case visa.MOV:
@@ -851,13 +818,13 @@ func (t *Thread) Step() error {
 		}
 		next = t.PC
 	case visa.FADD:
-		t.fop(ins, func(a, b float64) float64 { return a + b })
+		t.fop(&ins, func(a, b float64) float64 { return a + b })
 	case visa.FSUB:
-		t.fop(ins, func(a, b float64) float64 { return a - b })
+		t.fop(&ins, func(a, b float64) float64 { return a - b })
 	case visa.FMUL:
-		t.fop(ins, func(a, b float64) float64 { return a * b })
+		t.fop(&ins, func(a, b float64) float64 { return a * b })
 	case visa.FDIV:
-		t.fop(ins, func(a, b float64) float64 { return a / b })
+		t.fop(&ins, func(a, b float64) float64 { return a / b })
 	case visa.FCMP:
 		t.ffa = math.Float64frombits(uint64(r[ins.R1]))
 		t.ffb = math.Float64frombits(uint64(r[ins.R2]))

@@ -59,8 +59,8 @@ func TestStoreRoundTripEnginesIdentical(t *testing.T) {
 			}
 			stored := storeRoundTrip(t, img)
 			for _, e := range vm.Engines() {
-				orig := runWithEngine(t, img, e)
-				copy := runWithEngine(t, stored, e)
+				orig := runClean(t, img, mrt.Options{Engine: e})
+				copy := runClean(t, stored, mrt.Options{Engine: e})
 				if orig != copy {
 					t.Errorf("%s instr=%v engine %s: store round-trip diverges:\n  original: code=%d instret=%d out=%q\n  stored:   code=%d instret=%d out=%q",
 						profile, instr, e,
