@@ -54,6 +54,7 @@ func runImageOpts(b *testing.B, img *linker.Image, opts mrt.Options, during func
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer rt.Release()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	if during != nil {
@@ -70,6 +71,28 @@ func runImageOpts(b *testing.B, img *linker.Image, opts mrt.Options, during func
 		b.Fatalf("run: code=%d err=%v", code, err)
 	}
 	return rt.Instret()
+}
+
+// BenchmarkInstantiate times mrt.New alone on instrumented
+// workloads: sandbox, tables, page protections and the first policy
+// publication. Release runs outside the timer.
+func BenchmarkInstantiate(b *testing.B) {
+	for _, name := range []string{"perlbench", "gcc", "lbm"} {
+		b.Run(name, func(b *testing.B) {
+			img := buildFor(b, name, true)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rt, err := mrt.New(img, mrt.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				rt.Release()
+				b.StartTimer()
+			}
+		})
+	}
 }
 
 // --- E1: Fig. 5 — per-benchmark execution cost, baseline vs MCFI ---

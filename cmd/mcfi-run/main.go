@@ -99,6 +99,7 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr)
 	}
+	rt.Release()
 	os.Exit(int(code))
 }
 

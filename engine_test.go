@@ -78,6 +78,7 @@ func runWith(t *testing.T, img *linker.Image, opts mrt.Options) engineRun {
 	if err != nil {
 		t.Fatalf("engine %s: %v", optsName(opts), err)
 	}
+	defer rt.Release()
 	code, err := rt.Run(2_000_000_000)
 	r := engineRun{code: code, output: rt.Output(), instret: rt.Instret()}
 	var f *vm.Fault

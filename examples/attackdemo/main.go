@@ -69,6 +69,7 @@ func run(name, src string, instrumented bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer rt.Release()
 	code, err := rt.Run(50_000_000)
 	fmt.Print(rt.Output())
 	if f, ok := err.(*vm.Fault); ok && f.Kind == vm.FaultCFI {

@@ -78,6 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer rt.Release()
 	rt.RegisterLibrary(plugin)
 
 	before := rt.Graph().Stats

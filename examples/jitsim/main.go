@@ -67,6 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer rt.Release()
 	for s := 0; s < 8; s++ {
 		obj, err := b.Compile(stageSource(s))
 		if err != nil {

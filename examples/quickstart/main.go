@@ -77,6 +77,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer rt.Release()
 	code, err := rt.Run(0)
 	if err != nil {
 		log.Fatal(err)

@@ -148,12 +148,20 @@ func MinstrPerSec(instret int64, secs float64) float64 {
 	return float64(instret) / secs / 1e6
 }
 
-// runOnce executes one built image and returns retired instructions.
-func (c Config) runOnce(img *linker.Image, during func(rt *mrt.Runtime, stop <-chan struct{})) (int64, *mrt.Runtime, error) {
+// runStats is what a measurement keeps of one run: its retired
+// instructions and the table counters of its runtime.
+type runStats struct {
+	instret, retries, updates int64
+}
+
+// runOnce executes one built image and releases its runtime. during,
+// if non-nil, runs alongside the guest until it stops.
+func (c Config) runOnce(img *linker.Image, during func(rt *mrt.Runtime, stop <-chan struct{})) (runStats, error) {
 	rt, err := mrt.New(img, mrt.Options{Engine: c.Engine})
 	if err != nil {
-		return 0, nil, err
+		return runStats{}, err
 	}
+	defer rt.Release()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	if during != nil {
@@ -167,12 +175,16 @@ func (c Config) runOnce(img *linker.Image, during func(rt *mrt.Runtime, stop <-c
 	close(stop)
 	wg.Wait()
 	if err != nil {
-		return 0, rt, err
+		return runStats{}, err
 	}
 	if code != 0 {
-		return 0, rt, fmt.Errorf("workload exited %d: %s", code, rt.Output())
+		return runStats{}, fmt.Errorf("workload exited %d: %s", code, rt.Output())
 	}
-	return rt.Instret(), rt, nil
+	st := runStats{instret: rt.Instret()}
+	if rt.Tables != nil {
+		st.retries, st.updates = rt.Tables.Retries(), rt.Tables.Updates()
+	}
+	return st, nil
 }
 
 // Fig5 measures instrumentation overhead with no concurrent update
@@ -189,20 +201,20 @@ func Fig5(c Config) ([]OverheadRow, error) {
 			return OverheadRow{}, fmt.Errorf("%s: %w", w.Name, err)
 		}
 		t0 := time.Now()
-		nb, _, err := c.runOnce(base, nil)
+		nb, err := c.runOnce(base, nil)
 		bsecs := time.Since(t0).Seconds()
 		if err != nil {
 			return OverheadRow{}, fmt.Errorf("%s baseline: %w", w.Name, err)
 		}
 		t0 = time.Now()
-		ni, _, err := c.runOnce(inst, nil)
+		ni, err := c.runOnce(inst, nil)
 		isecs := time.Since(t0).Seconds()
 		if err != nil {
 			return OverheadRow{}, fmt.Errorf("%s mcfi: %w", w.Name, err)
 		}
 		return OverheadRow{
-			Name: w.Name, Baseline: nb, MCFI: ni,
-			OverheadPct:  pct(ni, nb),
+			Name: w.Name, Baseline: nb.instret, MCFI: ni.instret,
+			OverheadPct:  pct(ni.instret, nb.instret),
 			BaselineSecs: bsecs, MCFISecs: isecs,
 		}, nil
 	})
@@ -231,13 +243,13 @@ func Fig6(c Config, hz int) ([]OverheadRow, error) {
 			return OverheadRow{}, err
 		}
 		t0 := time.Now()
-		nb, _, err := c.runOnce(base, nil)
+		nb, err := c.runOnce(base, nil)
 		bsecs := time.Since(t0).Seconds()
 		if err != nil {
 			return OverheadRow{}, fmt.Errorf("%s baseline: %w", w.Name, err)
 		}
 		t0 = time.Now()
-		ni, rt, err := c.runOnce(inst, func(rt *mrt.Runtime, stop <-chan struct{}) {
+		ni, err := c.runOnce(inst, func(rt *mrt.Runtime, stop <-chan struct{}) {
 			tick := time.NewTicker(interval)
 			defer tick.Stop()
 			for {
@@ -254,10 +266,10 @@ func Fig6(c Config, hz int) ([]OverheadRow, error) {
 			return OverheadRow{}, fmt.Errorf("%s mcfi+updates: %w", w.Name, err)
 		}
 		return OverheadRow{
-			Name: w.Name, Baseline: nb, MCFI: ni,
-			OverheadPct:  pct(ni, nb),
-			Retries:      rt.Tables.Retries(),
-			Updates:      rt.Tables.Updates(),
+			Name: w.Name, Baseline: nb.instret, MCFI: ni.instret,
+			OverheadPct:  pct(ni.instret, nb.instret),
+			Retries:      ni.retries,
+			Updates:      ni.updates,
 			BaselineSecs: bsecs, MCFISecs: isecs,
 		}, nil
 	})

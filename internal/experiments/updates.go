@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mcfi/internal/id"
+	"mcfi/internal/linker"
 	"mcfi/internal/module"
 	"mcfi/internal/mrt"
 	"mcfi/internal/toolchain"
@@ -94,107 +95,119 @@ func UpdateThroughput(c Config, modules, checkers int) ([]UpdateRow, error) {
 		name string
 		full bool
 	}{{"delta", false}, {"full", true}} {
-		rt, err := mrt.New(img, mrt.Options{ForceFullCFG: variant.full, ParallelCopy: true})
+		row, err := updateStorm(img, objs, variant.name, variant.full, checkers)
 		if err != nil {
 			return nil, err
-		}
-		for _, o := range objs {
-			rt.RegisterLibrary(o)
-		}
-
-		// Harvest valid (branch index, target) pairs from the initial
-		// policy for the checker loops: deltas never re-class a
-		// published target, so these stay legal for the whole storm.
-		tary, bary := rt.Tables.Snapshot()
-		type pair struct{ idx, target int }
-		var pairs []pair
-		for i, bw := range bary {
-			if !id.ID(bw).Valid() {
-				continue
-			}
-			for wd, tw := range tary {
-				if tw == bw {
-					pairs = append(pairs, pair{idx: i, target: wd * 4})
-					break
-				}
-			}
-			if len(pairs) >= 16 {
-				break
-			}
-		}
-		if len(pairs) == 0 {
-			return nil, fmt.Errorf("no valid (branch, target) pairs in the base policy")
-		}
-
-		var (
-			checks atomic.Int64
-			stop   = make(chan struct{})
-			wg     sync.WaitGroup
-		)
-		for k := 0; k < checkers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					for _, pr := range pairs {
-						rt.Tables.Check(pr.idx, pr.target)
-						checks.Add(1)
-					}
-				}
-			}()
-		}
-
-		// On a single-core box a small delta storm can finish before the
-		// checker goroutines are ever scheduled; don't start the clock
-		// until at least one check has landed.
-		for checks.Load() == 0 {
-			runtime.Gosched()
-		}
-
-		updates0, retries0 := rt.Tables.Updates(), rt.Tables.Retries()
-		start := time.Now()
-		for i, o := range objs {
-			h, err := rt.Dlopen(o.Name)
-			if err != nil {
-				close(stop)
-				wg.Wait()
-				return nil, fmt.Errorf("%s dlopen %s: %w", variant.name, o.Name, err)
-			}
-			if _, err := rt.Dlsym(h, fmt.Sprintf("upd%d_fn", i)); err != nil {
-				close(stop)
-				wg.Wait()
-				return nil, fmt.Errorf("%s dlsym upd%d_fn: %w", variant.name, i, err)
-			}
-		}
-		wall := time.Since(start).Seconds()
-		close(stop)
-		wg.Wait()
-
-		n := rt.Tables.Updates() - updates0
-		delta, _ := rt.PublishStats()
-		row := UpdateRow{
-			Variant: variant.name, Modules: modules, Checkers: checkers,
-			CodeBytes: len(img.Code),
-			Publishes: n, DeltaPublishes: delta,
-			Retries:  rt.Tables.Retries() - retries0,
-			Checks:   checks.Load(),
-			WallSecs: wall,
-		}
-		if wall > 0 {
-			row.UpdatesPerSec = float64(n) / wall
-		}
-		if variant.full && delta != 0 {
-			return nil, fmt.Errorf("ForceFullCFG storm still published %d deltas", delta)
-		}
-		if !variant.full && delta < int64(modules) {
-			return nil, fmt.Errorf("delta storm published only %d deltas for %d modules", delta, modules)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// updateStorm runs one variant of the dlopen storm on a fresh runtime
+// and releases it.
+func updateStorm(img *linker.Image, objs []*module.Object, name string, full bool, checkers int) (UpdateRow, error) {
+	modules := len(objs)
+	rt, err := mrt.New(img, mrt.Options{ForceFullCFG: full, ParallelCopy: true})
+	if err != nil {
+		return UpdateRow{}, err
+	}
+	defer rt.Release()
+	for _, o := range objs {
+		rt.RegisterLibrary(o)
+	}
+
+	// Harvest valid (branch index, target) pairs from the initial
+	// policy for the checker loops: deltas never re-class a
+	// published target, so these stay legal for the whole storm.
+	tary, bary := rt.Tables.Snapshot()
+	type pair struct{ idx, target int }
+	var pairs []pair
+	for i, bw := range bary {
+		if !id.ID(bw).Valid() {
+			continue
+		}
+		for wd, tw := range tary {
+			if tw == bw {
+				pairs = append(pairs, pair{idx: i, target: wd * 4})
+				break
+			}
+		}
+		if len(pairs) >= 16 {
+			break
+		}
+	}
+	if len(pairs) == 0 {
+		return UpdateRow{}, fmt.Errorf("no valid (branch, target) pairs in the base policy")
+	}
+
+	var (
+		checks atomic.Int64
+		stop   = make(chan struct{})
+		wg     sync.WaitGroup
+	)
+	for k := 0; k < checkers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, pr := range pairs {
+					rt.Tables.Check(pr.idx, pr.target)
+					checks.Add(1)
+				}
+			}
+		}()
+	}
+
+	// On a single-core box a small delta storm can finish before the
+	// checker goroutines are ever scheduled; don't start the clock
+	// until at least one check has landed.
+	for checks.Load() == 0 {
+		runtime.Gosched()
+	}
+
+	updates0, retries0 := rt.Tables.Updates(), rt.Tables.Retries()
+	start := time.Now()
+	for i, o := range objs {
+		h, err := rt.Dlopen(o.Name)
+		if err != nil {
+			close(stop)
+			wg.Wait()
+			return UpdateRow{}, fmt.Errorf("%s dlopen %s: %w", name, o.Name, err)
+		}
+		if _, err := rt.Dlsym(h, fmt.Sprintf("upd%d_fn", i)); err != nil {
+			close(stop)
+			wg.Wait()
+			return UpdateRow{}, fmt.Errorf("%s dlsym upd%d_fn: %w", name, i, err)
+		}
+	}
+	wall := time.Since(start).Seconds()
+	close(stop)
+	wg.Wait()
+
+	n := rt.Tables.Updates() - updates0
+	delta, _ := rt.PublishStats()
+	row := UpdateRow{
+		Variant: name, Modules: modules, Checkers: checkers,
+		CodeBytes: len(img.Code),
+		Publishes: n, DeltaPublishes: delta,
+		Retries:  rt.Tables.Retries() - retries0,
+		Checks:   checks.Load(),
+		WallSecs: wall,
+	}
+	if wall > 0 {
+		row.UpdatesPerSec = float64(n) / wall
+	}
+	if full && delta != 0 {
+		return UpdateRow{}, fmt.Errorf("ForceFullCFG storm still published %d deltas", delta)
+	}
+	if !full && delta < int64(modules) {
+		return UpdateRow{}, fmt.Errorf("delta storm published only %d deltas for %d modules", delta, modules)
+	}
+	return row, nil
 }

@@ -24,6 +24,9 @@ import (
 func (r *Runtime) Dlopen(name string) (int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.released {
+		return 0, ErrReleased
+	}
 
 	// Repeated dlopen returns the existing handle (like POSIX).
 	for h, dh := range r.handles {
@@ -230,6 +233,9 @@ func (r *Runtime) Dlopen(name string) (int64, error) {
 func (r *Runtime) Dlsym(handle int64, sym string) (int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.released {
+		return 0, ErrReleased
+	}
 	dh, ok := r.handles[handle]
 	if !ok {
 		return 0, fmt.Errorf("mrt: bad dlopen handle %d", handle)

@@ -30,6 +30,7 @@ func newRT(t *testing.T, img *linker.Image, opts mrt.Options) *mrt.Runtime {
 	if err != nil {
 		t.Fatalf("runtime: %v", err)
 	}
+	t.Cleanup(rt.Release)
 	return rt
 }
 

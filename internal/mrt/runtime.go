@@ -8,6 +8,7 @@ package mrt
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -76,8 +77,11 @@ type Runtime struct {
 	buf  *bytes.Buffer
 	outM sync.Mutex
 
-	// Dynamic-linking state, guarded by mu.
+	// Dynamic-linking state, guarded by mu. released is set by the
+	// first Release; every entry point that would touch guest memory
+	// or the tables checks it under mu.
 	mu          sync.Mutex
+	released    bool
 	aux         module.AuxInfo // merged, absolute addresses
 	syms        map[string]linker.SymInfo
 	branchIndex map[int]int // IB offset -> Bary index
@@ -99,6 +103,8 @@ type Runtime struct {
 	rngMu sync.Mutex
 	rng   uint64
 
+	// threadWG counts the guest threads Release must wait for: the
+	// main thread while RunContext runs it, and every spawned thread.
 	threadWG sync.WaitGroup
 
 	// ABA quiescence tracking (§5.2): abaSeen records, per live thread,
@@ -109,6 +115,10 @@ type Runtime struct {
 	abaMu   sync.Mutex
 	abaSeen map[*vm.Thread]int64
 }
+
+// ErrReleased is returned by Run, RunContext, MainThread, Dlopen and
+// Dlsym once the runtime has been released.
+var ErrReleased = errors.New("mrt: runtime released")
 
 type dlHandle struct {
 	name    string
@@ -375,6 +385,9 @@ func (r *Runtime) RegisterLibrary(obj *module.Object) {
 func (r *Runtime) allocStack() (int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.released {
+		return 0, ErrReleased
+	}
 	sp := r.stackNext
 	if sp-StackSize < stackBase {
 		return 0, fmt.Errorf("mrt: out of stack space")
@@ -455,8 +468,16 @@ func (r *Runtime) Run(maxInstr int64) (int64, error) {
 // the rest of the process is cancelled too, so spawned guest threads
 // cannot outlive the call and leak their host goroutines.
 func (r *Runtime) RunContext(ctx context.Context, maxInstr int64) (int64, error) {
+	r.mu.Lock()
+	if r.released {
+		r.mu.Unlock()
+		return -1, ErrReleased
+	}
+	r.threadWG.Add(1) // the main thread, for Release to wait on
+	r.mu.Unlock()
 	t, err := r.MainThread()
 	if err != nil {
+		r.threadWG.Done()
 		return -1, err
 	}
 	watchDone := make(chan struct{})
@@ -474,6 +495,7 @@ func (r *Runtime) RunContext(ctx context.Context, maxInstr int64) (int64, error)
 		close(watchDone)
 	}
 	err = t.Run(maxInstr)
+	r.threadWG.Done()
 	if err != nil && err != vm.ErrExited {
 		// Abnormal stop: tear down sibling threads so threadWG.Wait
 		// cannot block on a still-spinning guest.
@@ -491,6 +513,38 @@ func (r *Runtime) RunContext(ctx context.Context, maxInstr int64) (int64, error)
 
 // Cancel stops every guest thread of the runtime (idempotent).
 func (r *Runtime) Cancel() { r.Proc.Cancel() }
+
+// Release tears the sandbox down and returns its memory: it cancels
+// the process, waits for the guest threads started by RunContext
+// (the main thread and every spawned thread) to unwind, waits out any
+// Dlopen or Dlsym in flight by taking mu, then frees guest memory and
+// the Tary table. It is idempotent and safe to call from any
+// goroutine, including while RunContext is still returning.
+//
+// After Release, Run, RunContext, MainThread, Dlopen and Dlsym return
+// ErrReleased. Output, Instret, CheckStats, PublishStats, Graph and the
+// Tables counters stay readable; guest memory (Proc.Mem) and the Tary
+// contents are gone. A runtime that is never released has its memory
+// unmapped by a finalizer once it becomes unreachable, but callers that
+// run many jobs should release each one: the garbage collector does
+// not see the mapped memory and so does not hurry to collect it.
+func (r *Runtime) Release() {
+	r.mu.Lock()
+	if r.released {
+		r.mu.Unlock()
+		return
+	}
+	r.released = true
+	r.mu.Unlock()
+	r.Proc.Cancel()
+	r.threadWG.Wait()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.Proc.Release()
+	if r.Tables != nil {
+		r.Tables.Release()
+	}
+}
 
 // CheckStats snapshots the process's check-transaction counters.
 func (r *Runtime) CheckStats() vm.CheckStats { return r.Proc.CheckStatsSnapshot() }

@@ -20,14 +20,15 @@ import (
 // ordered set of these phases; a proxied job additionally carries the
 // proxying replica's relay span.
 const (
-	SpanAdmission = "admission" // ingress → admitted by the DWRR scheduler
-	SpanQueue     = "queue"     // admitted → dequeued by a worker
-	SpanBuild     = "build"     // store probe + (on miss) compile + link
-	SpanStore     = "store"     // build sub-phase: tier probe / inflight wait
-	SpanCompile   = "compile"   // build sub-phase: TU + libc compiles
-	SpanLink      = "link"      // build sub-phase: static link
-	SpanRun       = "run"       // guest execution in its vm.Process
-	SpanRelay     = "relay"     // proxy hop to the owning replica
+	SpanAdmission   = "admission"   // ingress → admitted by the DWRR scheduler
+	SpanQueue       = "queue"       // admitted → dequeued by a worker
+	SpanBuild       = "build"       // store probe + (on miss) compile + link
+	SpanStore       = "store"       // build sub-phase: tier probe / inflight wait
+	SpanCompile     = "compile"     // build sub-phase: TU + libc compiles
+	SpanLink        = "link"        // build sub-phase: static link
+	SpanInstantiate = "instantiate" // mrt.New (sandbox, tables, first publish) + plugin compiles
+	SpanRun         = "run"         // guest execution in its vm.Process
+	SpanRelay       = "relay"       // proxy hop to the owning replica
 )
 
 // Span is one timed phase of a job, attributed to a trace.

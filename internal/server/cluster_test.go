@@ -350,26 +350,32 @@ func TestRetryAfterHeader(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Occupy the worker and fill the queue.
-	started := make(chan struct{}, 2)
+	// Occupy the worker, then fill the queue. The second spin job is
+	// submitted only once the first is running: submitted together,
+	// both could land in the one-slot queue before the worker pops
+	// either, and the second would be refused instead of queued.
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	spin := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			started <- struct{}{}
 			s.Submit(context.Background(), JobRequest{Source: spinSrc, Name: "spin", TimeoutMs: 1500})
 		}()
 	}
-	<-started
-	<-started
-	deadline := time.Now().Add(5 * time.Second)
-	for s.MetricsSnapshot().Queue.Busy == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	waitQueue := func(what string, reached func(QueueState) bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !reached(s.MetricsSnapshot().Queue) {
+			if time.Now().After(deadline) {
+				t.Fatalf("queue never reached %s: %+v", what, s.MetricsSnapshot().Queue)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
-	for s.MetricsSnapshot().Queue.Depth == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	spin()
+	waitQueue("Busy == 1", func(q QueueState) bool { return q.Busy == 1 })
+	spin()
+	waitQueue("Depth == 1", func(q QueueState) bool { return q.Depth == 1 })
 
 	res, resp := postRun(t, ts.URL, JobRequest{Source: helloSrc, Name: "h"})
 	if res != nil {

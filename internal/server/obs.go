@@ -270,6 +270,7 @@ func (s *Server) renderProm() []byte {
 
 	p.Histogram("mcfi_queue_wait_seconds", "admission-to-dequeue wait", "tenant", s.queueHist.Snapshot())
 	p.Histogram("mcfi_build_seconds", "build phase duration by store tier", "tier", s.buildHist.Snapshot())
+	p.Histogram("mcfi_instantiate_seconds", "sandbox instantiation (mrt.New plus plugin compiles) by engine", "engine", s.instHist.Snapshot())
 	p.Histogram("mcfi_run_seconds", "guest execution duration by engine", "engine", s.runHist.Snapshot())
 
 	return p.Bytes()

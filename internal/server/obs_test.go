@@ -331,6 +331,43 @@ func TestAuditMatchesDirectVerdict(t *testing.T) {
 	}
 }
 
+// TestInstantiatePhaseWarmJob: a warm job (image served from the
+// memory tier, so no compile or link) still pays for instantiation,
+// and that cost is attributed: the phase summary reports
+// instantiate_ms > 0 and the trace carries an instantiate span.
+func TestInstantiatePhaseWarmJob(t *testing.T) {
+	s := newTest(t, Config{Workers: 1, QueueDepth: 4})
+	defer drain(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if res, _ := postRun(t, ts.URL, JobRequest{Source: helloSrc, Name: "hello"}); res == nil || res.Status != StatusOK {
+		t.Fatalf("cold job failed: %+v", res)
+	}
+	res, _ := postRun(t, ts.URL, JobRequest{Source: helloSrc, Name: "hello"})
+	if res == nil || res.Status != StatusOK {
+		t.Fatalf("warm job failed: %+v", res)
+	}
+	if res.StoreTier != "mem" {
+		t.Fatalf("second job store tier = %q, want mem", res.StoreTier)
+	}
+	if res.Phases == nil || res.Phases.InstantiateMs <= 0 {
+		t.Fatalf("warm job phases = %+v, want instantiate_ms > 0", res.Phases)
+	}
+	tr, code := getTrace(t, ts.URL, res.TraceID)
+	if code != http.StatusOK {
+		t.Fatalf("GET /v1/trace/%s = %d", res.TraceID, code)
+	}
+	sp := spanByName(tr, obs.SpanInstantiate)
+	if sp == nil || sp.DurNs <= 0 {
+		t.Fatalf("warm trace instantiate span = %+v", sp)
+	}
+	run := spanByName(tr, obs.SpanRun)
+	if run == nil || sp.StartNs+sp.DurNs > run.StartNs {
+		t.Errorf("instantiate span %+v does not end before run span %+v", sp, run)
+	}
+}
+
 // TestPromExposition: ?format=prom renders the metrics snapshot as
 // well-formed Prometheus text from the same counters as the JSON form.
 func TestPromExposition(t *testing.T) {
@@ -380,6 +417,7 @@ func TestPromExposition(t *testing.T) {
 		"mcfi_audit_records_total 1",
 		`mcfi_run_seconds_bucket{engine="blockjit",le="+Inf"} 2`,
 		"mcfi_run_seconds_count",
+		`mcfi_instantiate_seconds_bucket{engine="blockjit",le="+Inf"} 2`,
 		"mcfi_queue_wait_seconds_sum",
 		`mcfi_build_seconds_bucket{le="+Inf",tier="built"} 2`,
 		"mcfi_trace_sample_rate 1",

@@ -160,14 +160,17 @@ type JobResult struct {
 // PhaseSummary breaks a job's wall time into pipeline phases
 // (milliseconds). StoreMs covers the build-store probe (and any wait
 // on a coalesced in-flight build); CompileMs/LinkMs are nonzero only
-// when the job actually built (store tier "built").
+// when the job actually built (store tier "built"). InstantiateMs
+// covers mrt.New (sandbox, tables, first policy publication) plus the
+// compiles of a dynamic job's plugin modules.
 type PhaseSummary struct {
-	AdmissionMs float64 `json:"admission_ms"`
-	QueueMs     float64 `json:"queue_ms"`
-	StoreMs     float64 `json:"store_ms"`
-	CompileMs   float64 `json:"compile_ms"`
-	LinkMs      float64 `json:"link_ms"`
-	RunMs       float64 `json:"run_ms"`
+	AdmissionMs   float64 `json:"admission_ms"`
+	QueueMs       float64 `json:"queue_ms"`
+	StoreMs       float64 `json:"store_ms"`
+	CompileMs     float64 `json:"compile_ms"`
+	LinkMs        float64 `json:"link_ms"`
+	InstantiateMs float64 `json:"instantiate_ms"`
+	RunMs         float64 `json:"run_ms"`
 }
 
 // Config sizes the service.
@@ -354,6 +357,7 @@ type Server struct {
 	audit     *obs.AuditLog
 	queueHist *obs.HistVec // by tenant
 	buildHist *obs.HistVec // by store tier
+	instHist  *obs.HistVec // by engine
 	runHist   *obs.HistVec // by engine
 
 	// Metrics counters (lock-free).
@@ -411,6 +415,7 @@ func New(cfg Config) (*Server, error) {
 		audit:       obs.NewAuditLog(cfg.AuditBuffer, cfg.AuditSink),
 		queueHist:   obs.NewHistVec(nil),
 		buildHist:   obs.NewHistVec(nil),
+		instHist:    obs.NewHistVec(nil),
 		runHist:     obs.NewHistVec(nil),
 	}
 	s.force, s.forceStop = context.WithCancel(context.Background())
@@ -841,11 +846,15 @@ func (s *Server) runJob(j *job) JobResult {
 	}
 
 	out := &limitWriter{max: s.cfg.MaxOutputBytes}
+	tInst := time.Now()
 	rt, err := mrt.New(img, mrt.Options{Out: out, Engine: engine})
 	if err != nil {
 		res.Status, res.Error = StatusBuildError, err.Error()
 		return res
 	}
+	// Deferred, so it runs after the result has copied the output and
+	// read every counter it reports.
+	defer rt.Release()
 	// Dynamic job kinds ship plugin modules the guest dlopens — each
 	// load is a policy update transaction under serving load.
 	for _, ps := range plugins {
@@ -856,6 +865,9 @@ func (s *Server) runJob(j *job) JobResult {
 		}
 		rt.RegisterLibrary(obj)
 	}
+	instDur := time.Since(tInst)
+	s.instHist.Observe(engine.String(), instDur)
+	s.span(j, obs.SpanInstantiate, tInst, instDur, map[string]string{"engine": engine.String()})
 
 	runCtx, cancel := context.WithTimeout(j.ctx, j.timeout)
 	watchDone := make(chan struct{})
@@ -947,12 +959,13 @@ func (s *Server) runJob(j *job) JobResult {
 		"jit_block_runs": strconv.FormatInt(st.JITBlockRuns, 10),
 	})
 	res.Phases = &PhaseSummary{
-		AdmissionMs: ms(j.admitDur),
-		QueueMs:     res.QueueMs,
-		StoreMs:     ms(time.Duration(ph.StoreNs)),
-		CompileMs:   ms(time.Duration(ph.CompileNs)),
-		LinkMs:      ms(time.Duration(ph.LinkNs)),
-		RunMs:       res.RunMs,
+		AdmissionMs:   ms(j.admitDur),
+		QueueMs:       res.QueueMs,
+		StoreMs:       ms(time.Duration(ph.StoreNs)),
+		CompileMs:     ms(time.Duration(ph.CompileNs)),
+		LinkMs:        ms(time.Duration(ph.LinkNs)),
+		InstantiateMs: ms(instDur),
+		RunMs:         res.RunMs,
 	}
 	return res
 }

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"mcfi/internal/id"
+	"mcfi/internal/lazymem"
 )
 
 // Verdict is the outcome of a check transaction.
@@ -53,8 +54,13 @@ func (v Verdict) String() string {
 
 // Tables is the MCFI table region.
 type Tables struct {
-	// tary has one entry per four bytes of code region.
-	tary []uint32
+	// tary has one entry per four bytes of code region. It is a view
+	// of taryMem, which (on unix) is an anonymous mapping: only the
+	// pages of the covered code extent that updates write are ever
+	// zeroed or backed, not the whole 4 MiB capacity. tary is nil
+	// after Release.
+	tary    []uint32
+	taryMem *lazymem.Region
 	// bary is the dense branch-ID array.
 	bary []uint32
 	// version is the current 14-bit global version number.
@@ -102,13 +108,28 @@ func (t *Tables) BaryBase() int { return t.codeLimit }
 // indirect branches. codeLimit is rounded up to a multiple of 4.
 func New(codeLimit, maxBranches int) *Tables {
 	codeLimit = (codeLimit + 3) &^ 3
+	taryMem := lazymem.New(codeLimit)
 	t := &Tables{
-		tary:      make([]uint32, codeLimit/4),
+		tary:      taryMem.Uint32s(),
+		taryMem:   taryMem,
 		bary:      make([]uint32, maxBranches),
 		codeLimit: codeLimit,
 	}
 	t.covered.Store(int64(codeLimit))
 	return t
+}
+
+// Release frees the Tary table's memory, waiting out any update
+// transaction in flight. It is idempotent. The caller must guarantee
+// that no check transaction (a running guest or a host-side Check,
+// Load32 or TaryID) uses the tables any more; the counters (Version,
+// Updates, Retries) stay readable. Tables dropped without Release have
+// their Tary memory unmapped by a finalizer.
+func (t *Tables) Release() {
+	t.updMu.Lock()
+	defer t.updMu.Unlock()
+	t.tary = nil
+	t.taryMem.Free()
 }
 
 // SetCovered bounds the code extent that update transactions rebuild

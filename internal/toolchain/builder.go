@@ -327,6 +327,7 @@ func (b *Builder) Run(maxInstr int64, srcs ...Source) (code int64, output string
 	if err != nil {
 		return -1, "", 0, err
 	}
+	defer rt.Release()
 	code, err = rt.Run(maxInstr)
 	return code, rt.Output(), rt.Instret(), err
 }

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mcfi/internal/lazymem"
 	"mcfi/internal/rewrite"
 	"mcfi/internal/tables"
 	"mcfi/internal/visa"
@@ -143,8 +144,11 @@ type SyscallHandler interface {
 // Process is one guest address space plus shared execution state.
 type Process struct {
 	// Mem is the flat guest memory: [0, SandboxSize) plus the guard
-	// band.
+	// band. It is a view of mem, which (on unix) is an anonymous
+	// mapping: pages the guest never touches are never zeroed or
+	// backed. Mem is nil after Release.
 	Mem []byte
+	mem *lazymem.Region
 	// perms holds per-page protection bits, accessed atomically so the
 	// dynamic linker can flip page protections while threads run.
 	perms []uint32
@@ -205,11 +209,15 @@ type Process struct {
 	joinable map[int64]chan int64
 }
 
-// NewProcess allocates a guest address space.
+// NewProcess allocates a guest address space. Its memory is zeroed
+// lazily, page by page on first touch (see internal/lazymem); Release
+// returns it.
 func NewProcess() *Process {
 	size := visa.SandboxSize + visa.GuardSize
+	mem := lazymem.New(size)
 	p := &Process{
-		Mem:      make([]byte, size),
+		Mem:      mem.Bytes(),
+		mem:      mem,
 		perms:    make([]uint32, size/PageSize),
 		icache:   make([]atomic.Pointer[pageCache], size/PageSize),
 		joinable: map[int64]chan int64{},
@@ -217,6 +225,18 @@ func NewProcess() *Process {
 	}
 	p.jit.pages = make([]atomic.Pointer[jitPage], size/PageSize)
 	return p
+}
+
+// Release cancels the process and frees its guest memory; Mem is nil
+// afterwards. It is idempotent. The caller must guarantee that no
+// thread of the process is running or will run again, and that no
+// host code still holds a slice of Mem: with mapped memory such a
+// slice faults once the pages are gone. A process that is dropped
+// without Release has its memory unmapped by a finalizer.
+func (p *Process) Release() {
+	p.Cancel()
+	p.Mem = nil
+	p.mem.Free()
 }
 
 // Protect sets protection bits on [addr, addr+size). Every W^X
