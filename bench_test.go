@@ -10,6 +10,7 @@ package mcfi
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"mcfi/internal/cfg"
 	"mcfi/internal/id"
 	"mcfi/internal/linker"
+	"mcfi/internal/module"
 	"mcfi/internal/mrt"
 	"mcfi/internal/rop"
 	"mcfi/internal/tables"
@@ -137,6 +139,97 @@ func BenchmarkFig6(b *testing.B) {
 				})
 			}
 			b.ReportMetric(float64(instr), "guest-instrs")
+		})
+	}
+}
+
+// --- Update transactions: one dlopen into a growing program ---
+
+// stormPlugins is the number of loads one runtime takes in the update
+// storm, and so the load BenchmarkDlopenDlsym/last times.
+const stormPlugins = 96
+
+// buildStorm builds the update storm's base image — perlbench linked
+// with gcc's generated Table-3 module at scale 0.25, as
+// `mcfi-bench -exp updates` scales it — and stormPlugins plugins of a
+// few functions each, none calling another, so every Dlsym publishes
+// as a delta.
+func buildStorm(b *testing.B) (*linker.Image, []*module.Object) {
+	b.Helper()
+	tc := toolchain.New(toolchain.WithProfile(visa.Profile64), toolchain.WithInstrumentation())
+	guest, _ := workload.ByName("perlbench")
+	gcc, _ := workload.ByName("gcc")
+	p := gcc.Gen
+	p.Funcs = p.Funcs / 4
+	p.FPTypes = max(1, p.FPTypes/4)
+	p.Callers = p.Callers / 4
+	p.Switches = p.Switches / 4
+	img, err := tc.Build(guest.TestSource(), workload.GenerateModule(gcc.Name, 42, p))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plugins := make([]*module.Object, stormPlugins)
+	for i := range plugins {
+		plugins[i], err = tc.Compile(toolchain.Source{Name: fmt.Sprintf("p%d", i), Text: fmt.Sprintf(`
+long p%[1]d_state = %[1]d;
+long p%[1]d_fn(long x) { return x * p%[1]d_state + 3; }
+long p%[1]d_aux(long x) { return x - 5; }
+long p%[1]d_sum(long n) {
+	long s = 0;
+	for (long i = 0; i < n; i++) s += i * 7;
+	return s;
+}
+`, i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	return img, plugins
+}
+
+// BenchmarkDlopenDlsym times one Dlopen plus Dlsym of a plugin into
+// the update storm's image: first is the first load into a fresh
+// runtime, last the stormPlugins-th, after the others loaded untimed.
+// Equal times mean a load costs what it adds, not what is loaded. Each
+// iteration of last makes stormPlugins-1 untimed loads, so run it with
+// a small -benchtime Nx.
+func BenchmarkDlopenDlsym(b *testing.B) {
+	img, plugins := buildStorm(b)
+	load := func(rt *mrt.Runtime, i int) {
+		h, err := rt.Dlopen(plugins[i].Name)
+		if err == nil {
+			_, err = rt.Dlsym(h, fmt.Sprintf("p%d_fn", i))
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		at   int
+	}{{"first", 0}, {"last", stormPlugins - 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				rt, err := mrt.New(img, mrt.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range plugins {
+					rt.RegisterLibrary(p)
+				}
+				for j := 0; j < bc.at; j++ {
+					load(rt, j)
+				}
+				runtime.GC() // collect the set-up's garbage outside the timing
+				b.StartTimer()
+				load(rt, bc.at)
+				b.StopTimer()
+				if delta, full := rt.PublishStats(); delta != int64(2*(bc.at+1)) || full != 1 {
+					b.Fatalf("%d loads published %d deltas and %d full, want %d and 1", bc.at+1, delta, full, 2*(bc.at+1))
+				}
+				rt.Release()
+			}
 		})
 	}
 }

@@ -7,11 +7,13 @@
 // currently loaded modules — function types, indirect-branch sites,
 // return sites, setjmp continuations — with code offsets already
 // rebased to absolute guest addresses. It is deliberately fast
-// (straight scans plus a union-find) because it runs inside dynamic
-// linking (paper §8.2 reports ~150 ms for gcc-sized inputs).
+// (signature-bucketed scans, a worklist and a union-find) because it
+// runs inside dynamic linking (paper §8.2 reports ~150 ms for
+// gcc-sized inputs).
 package cfg
 
 import (
+	"slices"
 	"sort"
 
 	"mcfi/internal/module"
@@ -105,44 +107,8 @@ func Generate(in Input) *Graph {
 	// Inline-assembly annotations add address-taken functions with
 	// explicit signatures.
 	annotated := parseAnnotations(in.Annotations)
-	addrTaken := func(f *module.FuncInfo) bool {
-		if f.AddrTaken {
-			return true
-		}
-		_, ok := annotated[f.Name]
-		return ok
-	}
-	sigOf := func(f *module.FuncInfo) string {
-		if s, ok := annotated[f.Name]; ok && s != "" {
-			return s
-		}
-		return f.Sig
-	}
-
-	// Return-edge computation: retTargets[fname] = the return sites a
-	// return in fname may target. Start from the call graph, then chase
-	// tail calls (paper §6: "if in function f there is a call node
-	// calling g, and g calls h through a series of tail calls, then an
-	// edge from the call node in f to h is added").
-	retSitesOf := map[string][]int{}
-	for _, rs := range in.RetSites {
-		if rs.Callee != "" {
-			retSitesOf[rs.Callee] = append(retSitesOf[rs.Callee], rs.Offset)
-			continue
-		}
-		// Indirect call: any type-matched address-taken function.
-		for i := range in.Funcs {
-			f := &in.Funcs[i]
-			if addrTaken(f) && SigCallMatch(rs.FpSig, sigOf(f)) {
-				retSitesOf[f.Name] = append(retSitesOf[f.Name], rs.Offset)
-			}
-		}
-	}
-	// Tail-call chasing: propagate return sites from caller to tail
-	// callee until a fixed point.
-	if in.Profile == visa.Profile64 {
-		chaseTailCalls(in.Funcs, retSitesOf, addrTaken, sigOf)
-	}
+	taken := indexAddrTaken(in.Funcs, annotated)
+	retSitesOf, _ := returnSites(in, taken)
 
 	// Resolve each instrumented branch's target set.
 	for i := range in.IBs {
@@ -150,16 +116,12 @@ func Generate(in Input) *Graph {
 		var targets []int
 		switch ib.Kind {
 		case module.IBRet:
-			targets = retSitesOf[ib.Func]
+			targets = retSitesOf[ib.Func] // already sorted and duplicate-free
 		case module.IBCall, module.IBTailJmp:
-			for j := range in.Funcs {
-				f := &in.Funcs[j]
-				if addrTaken(f) && SigCallMatch(ib.FpSig, sigOf(f)) {
-					targets = append(targets, f.Offset)
-				}
-			}
+			taken.each(ib.FpSig, func(j int) { targets = append(targets, in.Funcs[j].Offset) })
+			targets = dedupSorted(targets)
 		case module.IBLongjmp:
-			targets = append(targets, in.SetjmpConts...)
+			targets = dedupSorted(append(targets, in.SetjmpConts...))
 		case module.IBPLT:
 			if f, ok := funcsByName[ib.PLTSym]; ok {
 				targets = append(targets, f.Offset)
@@ -168,7 +130,6 @@ func Generate(in Input) *Graph {
 			// Statically verified; not table-checked.
 			continue
 		}
-		targets = dedupSorted(targets)
 		g.BranchTargets[ib.Offset] = targets
 	}
 
@@ -235,60 +196,172 @@ func Generate(in Input) *Graph {
 	return g
 }
 
-// chaseTailCalls propagates return sites through tail-call edges to a
-// fixed point.
-func chaseTailCalls(funcs []module.FuncInfo, retSitesOf map[string][]int,
-	addrTaken func(*module.FuncInfo) bool, sigOf func(*module.FuncInfo) string) {
-	edges := buildTailEdges(funcs, addrTaken, sigOf)
-	propagateTailCalls(edges, retSitesOf, nil)
+// sigIndex buckets the address-taken functions by effective signature
+// (an annotation's, else the function's own), so resolving a
+// function-pointer signature costs one SigCallMatch per distinct
+// signature rather than one per function.
+type sigIndex map[string][]int // effective signature -> indexes into funcs
+
+// effSig is f's signature as the policy sees it: an inline-assembly
+// annotation's, when one names f with a signature, else f's own.
+func effSig(f *module.FuncInfo, annotated map[string]string) string {
+	if s, ok := annotated[f.Name]; ok && s != "" {
+		return s
+	}
+	return f.Sig
 }
 
-// buildTailEdges builds the tail-call edge map g -> h (g tail-calls h),
-// resolving indirect tail calls by signature match against the
-// address-taken functions.
-func buildTailEdges(funcs []module.FuncInfo,
-	addrTaken func(*module.FuncInfo) bool, sigOf func(*module.FuncInfo) string) map[string][]string {
-	edges := map[string][]string{}
+// effAddrTaken reports whether f is an indirect-branch target: its
+// address is taken, or an annotation declares it.
+func effAddrTaken(f *module.FuncInfo, annotated map[string]string) bool {
+	if f.AddrTaken {
+		return true
+	}
+	_, ok := annotated[f.Name]
+	return ok
+}
+
+func indexAddrTaken(funcs []module.FuncInfo, annotated map[string]string) sigIndex {
+	x := sigIndex{}
 	for i := range funcs {
-		g := &funcs[i]
+		if effAddrTaken(&funcs[i], annotated) {
+			sig := effSig(&funcs[i], annotated)
+			x[sig] = append(x[sig], i)
+		}
+	}
+	return x
+}
+
+// each calls fn with the index of every function a pointer of type
+// fpSig may target.
+func (x sigIndex) each(fpSig string, fn func(i int)) {
+	for sig, is := range x {
+		if SigCallMatch(fpSig, sig) {
+			for _, i := range is {
+				fn(i)
+			}
+		}
+	}
+}
+
+// returnSites computes the return edges (paper §6): retSitesOf[f] is
+// the sorted, duplicate-free set of return sites a return in f may
+// target. It starts from the call graph and then chases tail calls
+// ("if in function f there is a call node calling g, and g calls h
+// through a series of tail calls, then an edge from the call node in f
+// to h is added"). It also returns the tail-call edges g -> h (g
+// tail-calls h), indirect ones resolved against taken.
+func returnSites(in Input, taken sigIndex) (retSitesOf map[string][]int, edges map[string][]string) {
+	retSitesOf = map[string][]int{}
+	for _, rs := range in.RetSites {
+		if rs.Callee != "" {
+			retSitesOf[rs.Callee] = append(retSitesOf[rs.Callee], rs.Offset)
+			continue
+		}
+		// Indirect call: any type-matched address-taken function.
+		taken.each(rs.FpSig, func(i int) {
+			name := in.Funcs[i].Name
+			retSitesOf[name] = append(retSitesOf[name], rs.Offset)
+		})
+	}
+	pending := make(map[string][]int, len(retSitesOf))
+	for name, sites := range retSitesOf {
+		retSitesOf[name] = dedupSorted(sites)
+		pending[name] = slices.Clip(retSitesOf[name])
+	}
+	edges = map[string][]string{}
+	for i := range in.Funcs {
+		g := &in.Funcs[i]
 		edges[g.Name] = append(edges[g.Name], g.TailCalls...)
 		for _, sig := range g.TailSigs {
-			for j := range funcs {
-				h := &funcs[j]
-				if addrTaken(h) && SigCallMatch(sig, sigOf(h)) {
-					edges[g.Name] = append(edges[g.Name], h.Name)
-				}
-			}
+			taken.each(sig, func(j int) { edges[g.Name] = append(edges[g.Name], in.Funcs[j].Name) })
 		}
 	}
-	return edges
+	if in.Profile == visa.Profile64 {
+		propagateTailCalls(edges, retSitesOf, pending, nil)
+	}
+	return retSitesOf, edges
 }
 
-// propagateTailCalls runs the return-site propagation to a fixed point.
-// When grew is non-nil, every function whose return-site set gained
-// members is recorded in it (the incremental path uses this to find
-// which existing return branches need new targets).
-func propagateTailCalls(edges map[string][]string, retSitesOf map[string][]int, grew map[string]bool) {
-	changed := true
-	for changed {
-		changed = false
-		for gname, callees := range edges {
-			sites := retSitesOf[gname]
-			if len(sites) == 0 {
+// propagateTailCalls is the one return-site propagation along tail-call
+// edges, a semi-naive worklist. pending[g] holds the sites of ret(g)
+// that g's tail callees may still lack; every edge g -> h satisfies
+// ret(g) ⊆ ret(h) apart from those. Only pending sites travel, so each
+// site crosses each edge at most once, and on return pending is empty
+// and every edge satisfies the inclusion. When grew is non-nil, every
+// site added to a set is merged into grew[h] too (the incremental path
+// turns these into new return-branch targets). Sets stay sorted and
+// duplicate-free.
+func propagateTailCalls(edges map[string][]string, retSitesOf, pending, grew map[string][]int) {
+	queue := make([]string, 0, len(pending))
+	for name := range pending {
+		queue = append(queue, name)
+	}
+	for len(queue) > 0 {
+		g := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		sites := pending[g]
+		delete(pending, g)
+		for _, h := range edges[g] {
+			added := addSites(retSitesOf, h, sites)
+			if len(added) == 0 {
 				continue
 			}
-			for _, h := range callees {
-				before := len(retSitesOf[h])
-				retSitesOf[h] = dedupSorted(append(retSitesOf[h], sites...))
-				if len(retSitesOf[h]) != before {
-					changed = true
-					if grew != nil {
-						grew[h] = true
-					}
-				}
+			if grew != nil {
+				grew[h], _ = mergeSorted(grew[h], added)
+			}
+			if p, queued := pending[h]; queued {
+				pending[h], _ = mergeSorted(p, added)
+			} else {
+				pending[h] = added
+				queue = append(queue, h)
 			}
 		}
 	}
+}
+
+// addSites merges sites into retSitesOf[name] and returns the ones it
+// lacked.
+func addSites(retSitesOf map[string][]int, name string, sites []int) []int {
+	merged, added := mergeSorted(retSitesOf[name], sites)
+	if len(added) > 0 {
+		retSitesOf[name] = merged
+	}
+	return added
+}
+
+// mergeSorted merges the sorted, duplicate-free add into the sorted,
+// duplicate-free set, testing membership by binary search. added is a
+// fresh slice of the members set lacked. When they all sort after
+// set's last member — a module loaded above everything before it —
+// merged is set with added appended in place, so the caller must own
+// set's backing array beyond its length (slices.Clip a set before
+// sharing it).
+func mergeSorted(set, add []int) (merged, added []int) {
+	for _, x := range add {
+		if _, found := slices.BinarySearch(set, x); !found {
+			added = append(added, x)
+		}
+	}
+	if len(added) == 0 {
+		return set, nil
+	}
+	if len(set) == 0 || added[0] > set[len(set)-1] {
+		return append(set, added...), slices.Clip(added)
+	}
+	merged = make([]int, 0, len(set)+len(added))
+	i, j := 0, 0
+	for i < len(set) && j < len(added) {
+		if set[i] < added[j] {
+			merged = append(merged, set[i])
+			i++
+		} else {
+			merged = append(merged, added[j])
+			j++
+		}
+	}
+	merged = append(append(merged, set[i:]...), added[j:]...)
+	return merged, slices.Clip(added)
 }
 
 func dedupSorted(xs []int) []int {

@@ -6,6 +6,19 @@
 // branches, and return sites into it, reporting only the addresses and
 // branches whose equivalence-class numbers are new or changed.
 //
+// Extend does work in proportion to what a load adds, not to the
+// program it loads into. Tail-call chasing is a worklist seeded with
+// only the return sites this load added and the sources of its new
+// tail edges; every set is kept sorted, so membership is a binary
+// search and an addition above the last member (a module loaded past
+// everything before it) is an in-place append; a branch merges only
+// the targets it lacks, so only those are unioned and only those can
+// be unpublished; and signature matching goes through buckets of
+// address-taken functions and branches by signature. Its cost is
+// O(added facts × log set size + distinct signatures), where the added
+// facts are the new (function, return site) and (branch, target)
+// pairs; the full Generate it replaces is O(program) per load.
+//
 // The incremental path preserves every published ECN: a new target
 // joining an existing class adopts that class's number, and brand-new
 // classes take numbers the published tables have never used. When an
@@ -18,6 +31,7 @@
 package cfg
 
 import (
+	"slices"
 	"sort"
 
 	"mcfi/internal/id"
@@ -57,9 +71,14 @@ type Incremental struct {
 	next    int         // next never-published ECN
 	taryECN map[int]int // published target map (mirror of the tables)
 
+	// Return edges. Each set is sorted and duplicate-free, and on the
+	// 64-bit profile every tail edge g -> h satisfies ret(g) ⊆ ret(h)
+	// at every publish.
 	retSitesOf map[string][]int
-	tailEdges  map[string][]string // g -> tail callees, memoized
+	tailEdges  map[string][]string // g -> tail callees
 
+	// Each target set is sorted and owns its backing array beyond its
+	// length, so Extend can append to it in place.
 	branchTargets map[int][]int
 	branchECN     map[int]int
 
@@ -69,24 +88,9 @@ type Incremental struct {
 	retIBsByFunc   map[string][]int    // func name -> IBRet offsets
 	longjmpIBs     []int               // IBLongjmp offsets
 	pltIBsBySym    map[string][]int    // symbol -> IBPLT offsets
-	indRetBySig    map[string][]int    // fp sig -> indirect ret-site offsets
+	indRetBySig    map[string][]int    // fp sig -> sorted indirect ret-site offsets
 	tailSigCallers map[string][]string // fp sig -> funcs tail-calling through it
-	addrTakenBySig map[string][]int    // effective sig -> addr-taken func offsets
-}
-
-func (inc *Incremental) effAddrTaken(f *module.FuncInfo) bool {
-	if f.AddrTaken {
-		return true
-	}
-	_, ok := inc.annotated[f.Name]
-	return ok
-}
-
-func (inc *Incremental) effSig(f *module.FuncInfo) string {
-	if s, ok := inc.annotated[f.Name]; ok && s != "" {
-		return s
-	}
-	return f.Sig
+	taken          sigIndex            // address-taken funcs by effective sig
 }
 
 // NewIncremental memoizes the generation state behind an already
@@ -104,7 +108,6 @@ func NewIncremental(in Input, g *Graph) *Incremental {
 		ecnOf:          map[int]int{},
 		next:           1,
 		taryECN:        make(map[int]int, len(g.TaryECN)),
-		retSitesOf:     map[string][]int{},
 		branchTargets:  make(map[int][]int, len(g.BranchTargets)),
 		branchECN:      make(map[int]int, len(g.BranchECN)),
 		callIBsBySig:   map[string][]int{},
@@ -112,7 +115,6 @@ func NewIncremental(in Input, g *Graph) *Incremental {
 		pltIBsBySym:    map[string][]int{},
 		indRetBySig:    map[string][]int{},
 		tailSigCallers: map[string][]string{},
-		addrTakenBySig: map[string][]int{},
 	}
 	for i := range inc.funcs {
 		inc.funcIdx[inc.funcs[i].Name] = i
@@ -140,32 +142,25 @@ func NewIncremental(in Input, g *Graph) *Incremental {
 		}
 	}
 	for off, targets := range g.BranchTargets {
-		inc.branchTargets[off] = targets
+		// Generate shares one slice among a function's return branches;
+		// clipping makes the first in-place append copy it.
+		inc.branchTargets[off] = slices.Clip(targets)
 	}
 
-	// Recompute the return-site map the same way Generate did (the
-	// graph does not retain it), then memoize the tail-call edges.
-	addrTaken := func(f *module.FuncInfo) bool { return inc.effAddrTaken(f) }
-	sigOf := func(f *module.FuncInfo) string { return inc.effSig(f) }
-	for _, rs := range in.RetSites {
-		if rs.Callee != "" {
-			inc.retSitesOf[rs.Callee] = append(inc.retSitesOf[rs.Callee], rs.Offset)
-			continue
-		}
-		inc.indRetBySig[rs.FpSig] = append(inc.indRetBySig[rs.FpSig], rs.Offset)
-		for i := range inc.funcs {
-			f := &inc.funcs[i]
-			if addrTaken(f) && SigCallMatch(rs.FpSig, sigOf(f)) {
-				inc.retSitesOf[f.Name] = append(inc.retSitesOf[f.Name], rs.Offset)
-			}
-		}
-	}
-	inc.tailEdges = buildTailEdges(inc.funcs, addrTaken, sigOf)
-	if in.Profile == visa.Profile64 {
-		propagateTailCalls(inc.tailEdges, inc.retSitesOf, nil)
-	}
+	// Recompute the return edges the same way Generate did (the graph
+	// does not retain them).
+	inc.taken = indexAddrTaken(inc.funcs, inc.annotated)
+	inc.retSitesOf, inc.tailEdges = returnSites(in, inc.taken)
 
 	// Secondary indexes over the existing branches and functions.
+	for _, rs := range in.RetSites {
+		if rs.Callee == "" {
+			inc.indRetBySig[rs.FpSig] = append(inc.indRetBySig[rs.FpSig], rs.Offset)
+		}
+	}
+	for sig, sites := range inc.indRetBySig {
+		inc.indRetBySig[sig] = dedupSorted(sites)
+	}
 	for i := range in.IBs {
 		ib := &in.IBs[i]
 		switch ib.Kind {
@@ -180,12 +175,8 @@ func NewIncremental(in Input, g *Graph) *Incremental {
 		}
 	}
 	for i := range inc.funcs {
-		f := &inc.funcs[i]
-		for _, sig := range f.TailSigs {
-			inc.tailSigCallers[sig] = append(inc.tailSigCallers[sig], f.Name)
-		}
-		if addrTaken(f) {
-			inc.addrTakenBySig[sigOf(f)] = append(inc.addrTakenBySig[sigOf(f)], f.Offset)
+		for _, sig := range inc.funcs[i].TailSigs {
+			inc.tailSigCallers[sig] = append(inc.tailSigCallers[sig], inc.funcs[i].Name)
 		}
 	}
 	return inc
@@ -241,14 +232,17 @@ func (inc *Incremental) Extend(delta Input, flipped []string) (*Delta, bool) {
 		inc.annotated[name] = sig
 	}
 
-	addrTaken := func(f *module.FuncInfo) bool { return inc.effAddrTaken(f) }
-	sigOf := func(f *module.FuncInfo) string { return inc.effSig(f) }
-
 	// Phase A: apply structural additions and collect, per branch, the
-	// target addresses it gains.
-	adds := map[int][]int{}   // branch offset -> added targets
-	grew := map[string]bool{} // funcs whose return-site set grew
-	var activated []int       // indexes of funcs that became targets
+	// target addresses it may gain, and per function, the return sites
+	// its set gained.
+	adds := map[int][]int{}    // branch offset -> candidate targets
+	grew := map[string][]int{} // func name -> sites added to its set
+	grow := func(name string, sites []int) {
+		if added := addSites(inc.retSitesOf, name, sites); len(added) > 0 {
+			grew[name], _ = mergeSorted(grew[name], added)
+		}
+	}
+	var activated []int // indexes of funcs that became targets
 
 	for _, name := range flipped {
 		i, ok := inc.funcIdx[name]
@@ -256,7 +250,7 @@ func (inc *Incremental) Extend(delta Input, flipped []string) (*Delta, bool) {
 			continue
 		}
 		f := &inc.funcs[i]
-		if addrTaken(f) {
+		if effAddrTaken(f, inc.annotated) {
 			continue // already a target; nothing changes
 		}
 		f.AddrTaken = true
@@ -273,20 +267,8 @@ func (inc *Incremental) Extend(delta Input, flipped []string) (*Delta, bool) {
 	}
 	for i := firstNew; i < len(inc.funcs); i++ {
 		f := &inc.funcs[i]
-		if addrTaken(f) {
+		if effAddrTaken(f, inc.annotated) {
 			activated = append(activated, i)
-		}
-		// The new function as a tail CALLER: direct edges plus
-		// indirect edges against every current address-taken function.
-		inc.tailEdges[f.Name] = append(inc.tailEdges[f.Name], f.TailCalls...)
-		for _, sig := range f.TailSigs {
-			inc.tailSigCallers[sig] = append(inc.tailSigCallers[sig], f.Name)
-			for j := range inc.funcs {
-				h := &inc.funcs[j]
-				if addrTaken(h) && SigCallMatch(sig, sigOf(h)) {
-					inc.tailEdges[f.Name] = append(inc.tailEdges[f.Name], h.Name)
-				}
-			}
 		}
 		// A new definition of a symbol old PLT branches import.
 		for _, off := range inc.pltIBsBySym[f.Name] {
@@ -295,11 +277,15 @@ func (inc *Incremental) Extend(delta Input, flipped []string) (*Delta, bool) {
 	}
 
 	// Newly activated targets join every signature-matched indirect
-	// call, indirect return edge, and indirect tail-call edge.
+	// call, indirect return edge, and existing indirect tail-call edge.
+	// A new tail edge g -> h must carry all of ret(g), not only what
+	// grew; it is pushed once the module's return sites are in.
+	type edge struct{ g, h string }
+	var newEdges []edge
 	for _, i := range activated {
 		f := &inc.funcs[i]
-		fsig := sigOf(f)
-		inc.addrTakenBySig[fsig] = append(inc.addrTakenBySig[fsig], f.Offset)
+		fsig := effSig(f, inc.annotated)
+		inc.taken[fsig] = append(inc.taken[fsig], i)
 		for fpSig, offs := range inc.callIBsBySig {
 			if SigCallMatch(fpSig, fsig) {
 				for _, off := range offs {
@@ -309,39 +295,47 @@ func (inc *Incremental) Extend(delta Input, flipped []string) (*Delta, bool) {
 		}
 		for fpSig, sites := range inc.indRetBySig {
 			if SigCallMatch(fpSig, fsig) {
-				inc.retSitesOf[f.Name] = append(inc.retSitesOf[f.Name], sites...)
-				grew[f.Name] = true
+				grow(f.Name, sites)
 			}
 		}
 		for sig, callers := range inc.tailSigCallers {
 			if SigCallMatch(sig, fsig) {
 				for _, g := range callers {
-					// The fixed-point pass below walks every edge, so the
-					// new edge needs no grew seeding of its own.
 					inc.tailEdges[g] = append(inc.tailEdges[g], f.Name)
+					newEdges = append(newEdges, edge{g, f.Name})
 				}
 			}
 		}
 	}
 
-	// The module's return sites: direct ones extend the callee's edge
-	// set by name (the callee may be an old function — a call into
-	// libc — or one of the module's own); indirect ones match every
-	// current address-taken function.
+	// The new functions as tail callers: direct edges plus indirect
+	// edges to every address-taken function, the activated ones
+	// included.
+	for i := firstNew; i < len(inc.funcs); i++ {
+		f := &inc.funcs[i]
+		callees := append([]string(nil), f.TailCalls...)
+		for _, sig := range f.TailSigs {
+			inc.tailSigCallers[sig] = append(inc.tailSigCallers[sig], f.Name)
+			inc.taken.each(sig, func(j int) { callees = append(callees, inc.funcs[j].Name) })
+		}
+		inc.tailEdges[f.Name] = callees
+		for _, h := range callees {
+			newEdges = append(newEdges, edge{f.Name, h})
+		}
+	}
+
+	// The module's return sites: direct ones extend the callee's set by
+	// name (the callee may be an old function — a call into libc — or
+	// one of the module's own); indirect ones match every current
+	// address-taken function.
 	for _, rs := range delta.RetSites {
+		site := []int{rs.Offset}
 		if rs.Callee != "" {
-			inc.retSitesOf[rs.Callee] = append(inc.retSitesOf[rs.Callee], rs.Offset)
-			grew[rs.Callee] = true
+			grow(rs.Callee, site)
 			continue
 		}
-		inc.indRetBySig[rs.FpSig] = append(inc.indRetBySig[rs.FpSig], rs.Offset)
-		for j := range inc.funcs {
-			f := &inc.funcs[j]
-			if addrTaken(f) && SigCallMatch(rs.FpSig, sigOf(f)) {
-				inc.retSitesOf[f.Name] = append(inc.retSitesOf[f.Name], rs.Offset)
-				grew[f.Name] = true
-			}
-		}
+		inc.indRetBySig[rs.FpSig], _ = mergeSorted(inc.indRetBySig[rs.FpSig], site)
+		inc.taken.each(rs.FpSig, func(j int) { grow(inc.funcs[j].Name, site) })
 	}
 
 	// New setjmp continuations become targets of every longjmp branch.
@@ -352,14 +346,25 @@ func (inc *Incremental) Extend(delta Input, flipped []string) (*Delta, bool) {
 		}
 	}
 
-	// Tail-call chasing over the memoized edges, tracking which
-	// functions' return-site sets changed.
+	// Tail-call chasing, seeded with only what changed: each new edge
+	// pushes its source's whole set once (a late-defined PLT callee can
+	// arrive with return sites already recorded), and every site a set
+	// gained travels on along the old edges.
 	if inc.profile == visa.Profile64 {
-		propagateTailCalls(inc.tailEdges, inc.retSitesOf, grew)
+		for _, e := range newEdges {
+			grow(e.h, inc.retSitesOf[e.g])
+		}
+		pending := make(map[string][]int, len(grew))
+		for name, sites := range grew {
+			pending[name] = slices.Clip(sites)
+		}
+		propagateTailCalls(inc.tailEdges, inc.retSitesOf, pending, grew)
 	}
-	for name := range grew {
+	// An old return branch's targets are its function's set as last
+	// published, so it gains exactly what the set gained.
+	for name, sites := range grew {
 		for _, off := range inc.retIBsByFunc[name] {
-			adds[off] = append(adds[off], inc.retSitesOf[name]...)
+			adds[off] = append(adds[off], sites...)
 		}
 	}
 
@@ -373,11 +378,7 @@ func (inc *Incremental) Extend(delta Input, flipped []string) (*Delta, bool) {
 			adds[ib.Offset] = append(adds[ib.Offset], inc.retSitesOf[ib.Func]...)
 		case module.IBCall, module.IBTailJmp:
 			inc.callIBsBySig[ib.FpSig] = append(inc.callIBsBySig[ib.FpSig], ib.Offset)
-			for fsig, offs := range inc.addrTakenBySig {
-				if SigCallMatch(ib.FpSig, fsig) {
-					adds[ib.Offset] = append(adds[ib.Offset], offs...)
-				}
-			}
+			inc.taken.each(ib.FpSig, func(j int) { adds[ib.Offset] = append(adds[ib.Offset], inc.funcs[j].Offset) })
 		case module.IBLongjmp:
 			inc.longjmpIBs = append(inc.longjmpIBs, ib.Offset)
 			adds[ib.Offset] = append(adds[ib.Offset], inc.setjmpConts...)
@@ -394,43 +395,49 @@ func (inc *Incremental) Extend(delta Input, flipped []string) (*Delta, bool) {
 		}
 	}
 
-	// Phase B: merge the grown target sets into the union-find. A
-	// branch whose set actually grew unions its additions into its
-	// existing class; failure means two published classes would merge.
+	// Phase B: merge only the targets a branch lacks. Its old targets
+	// already share one class, so each new one is unioned with an old
+	// member (or, for a branch that had none, with its first new one);
+	// failure means two published classes would merge.
 	touched := make([]int, 0, len(adds))
 	for off := range adds {
 		touched = append(touched, off)
 	}
 	sort.Ints(touched)
 	changedBranches := make([]int, 0, len(touched))
+	var newTargets []int
 	for _, off := range touched {
-		merged := dedupSorted(append(append([]int(nil), inc.branchTargets[off]...), adds[off]...))
 		old, existed := inc.branchTargets[off]
-		if existed && len(merged) == len(old) {
+		merged, added := mergeSorted(old, dedupSorted(adds[off]))
+		if existed && len(added) == 0 {
 			continue // no new targets (duplicates only)
 		}
 		inc.branchTargets[off] = merged
 		changedBranches = append(changedBranches, off)
-		if len(merged) == 0 {
+		if len(added) == 0 {
 			continue // brand-new empty-target branch
 		}
-		for _, t := range merged[1:] {
-			if !inc.unionChecked(merged[0], t) {
+		anchor := added[0]
+		if len(old) > 0 {
+			anchor = old[0]
+		}
+		for _, t := range added {
+			if !inc.unionChecked(anchor, t) {
 				return nil, false
 			}
 		}
+		newTargets = append(newTargets, added...)
 	}
 
-	// Phase C: number the classes. Addresses absent from the published
-	// Tary map are the delta; roots without an ECN get fresh numbers,
+	// Phase C: number the classes. Every old target is published, so
+	// the delta is among the new targets: those absent from the
+	// published Tary map. Roots without an ECN get fresh numbers,
 	// deterministically by smallest member.
 	newAddrs := map[int][]int{} // root -> new member addresses
-	for _, off := range changedBranches {
-		for _, t := range inc.branchTargets[off] {
-			if _, published := inc.taryECN[t]; !published {
-				r := inc.d.find(t)
-				newAddrs[r] = append(newAddrs[r], t)
-			}
+	for _, t := range newTargets {
+		if _, published := inc.taryECN[t]; !published {
+			r := inc.d.find(t)
+			newAddrs[r] = append(newAddrs[r], t)
 		}
 	}
 	type newClass struct {

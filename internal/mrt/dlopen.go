@@ -2,6 +2,7 @@ package mrt
 
 import (
 	"fmt"
+	"slices"
 
 	"mcfi/internal/linker"
 	"mcfi/internal/module"
@@ -148,18 +149,24 @@ func (r *Runtime) Dlopen(name string) (int64, error) {
 	// address-taken — the incremental CFG path republishes exactly those
 	// plus the module's own additions — and mark the module's functions
 	// before the aux merge.
+	byName := r.funcIndex()
 	var flipped []string
-	for i := range r.aux.Funcs {
-		f := &r.aux.Funcs[i]
-		if addrTaken[f.Name] && !f.AddrTaken {
-			f.AddrTaken = true
-			flipped = append(flipped, f.Name)
+	for sym := range addrTaken {
+		for _, i := range byName[sym] {
+			if f := &r.aux.Funcs[i]; !f.AddrTaken {
+				f.AddrTaken = true
+				flipped = append(flipped, sym)
+			}
 		}
 	}
+	slices.Sort(flipped)
 	for i := range rebased.Funcs {
 		if addrTaken[rebased.Funcs[i].Name] {
 			rebased.Funcs[i].AddrTaken = true
 		}
+	}
+	for i, f := range rebased.Funcs {
+		byName[f.Name] = append(byName[f.Name], len(r.aux.Funcs)+i)
 	}
 	r.aux.Funcs = append(r.aux.Funcs, rebased.Funcs...)
 	r.aux.IBs = append(r.aux.IBs, rebased.IBs...)
@@ -228,7 +235,7 @@ func (r *Runtime) Dlopen(name string) (int64, error) {
 
 // Dlsym resolves an exported function of a dlopen'ed library. Because
 // handing out a function address is an address-taken event, the
-// runtime marks the function address-taken and republished the CFG if
+// runtime marks the function address-taken and republishes the CFG if
 // that changed the policy.
 func (r *Runtime) Dlsym(handle int64, sym string) (int64, error) {
 	r.mu.Lock()
@@ -245,9 +252,8 @@ func (r *Runtime) Dlsym(handle int64, sym string) (int64, error) {
 		return 0, fmt.Errorf("mrt: %q does not export %q", dh.name, sym)
 	}
 	if s.Kind == module.SymFunc && r.Img.Instrumented {
-		for i := range r.aux.Funcs {
-			f := &r.aux.Funcs[i]
-			if f.Name == sym && !f.AddrTaken {
+		for _, i := range r.funcIndex()[sym] {
+			if f := &r.aux.Funcs[i]; !f.AddrTaken {
 				f.AddrTaken = true
 				if err := r.publishDelta(module.AuxInfo{}, []string{sym}, nil); err != nil {
 					return 0, err
@@ -257,6 +263,23 @@ func (r *Runtime) Dlsym(handle int64, sym string) (int64, error) {
 		}
 	}
 	return s.Addr, nil
+}
+
+// funcIndex returns the aux.Funcs indexes of each function name,
+// building the map on the first dynamic link so that runtimes which
+// never link one do not pay for it. That first call also gives the
+// runtime its own function list: New shares the image's aux info, and
+// dynamic linking flips AddrTaken in place, which must not reach the
+// image other runtimes start from. Caller holds mu.
+func (r *Runtime) funcIndex() map[string][]int {
+	if r.funcsByName == nil {
+		r.aux.Funcs = slices.Clone(r.aux.Funcs)
+		r.funcsByName = make(map[string][]int, len(r.aux.Funcs))
+		for i, f := range r.aux.Funcs {
+			r.funcsByName[f.Name] = append(r.funcsByName[f.Name], i)
+		}
+	}
+	return r.funcsByName
 }
 
 // rebaseAux shifts all code offsets of an object's aux info by base.

@@ -415,6 +415,58 @@ func TestDlsymMarksAddrTaken(t *testing.T) {
 	}
 }
 
+// TestDlopenLeavesImageAuxUntouched: runtimes of one image link
+// modules independently. A module taking the address of a base
+// function must not mark it address-taken in the image, and one
+// runtime's loads must not overwrite another's aux info.
+func TestDlopenLeavesImageAuxUntouched(t *testing.T) {
+	b := toolchain.New(toolchain.WithInstrumentation())
+	img := build(t, b, toolchain.Source{Name: "main", Text: `
+long base_fn(long x) { return x + 1; }
+int main(void) { return (int)base_fn(-1); }`})
+	grab, err := b.Compile(toolchain.Source{Name: "grab", Text: `
+long base_fn(long x);
+long (*grab_keep)(long) = base_fn;
+long grab_fn(long x) { return grab_keep(x); }`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plugin, err := b.Compile(toolchain.Source{Name: "plugin", Text: pluginSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseFn := -1
+	for i, f := range img.Aux.Funcs {
+		if f.Name == "base_fn" {
+			baseFn = i
+		}
+	}
+	if baseFn < 0 || img.Aux.Funcs[baseFn].AddrTaken {
+		t.Fatal("base image must define base_fn without taking its address")
+	}
+
+	rt1 := newRT(t, img, mrt.Options{})
+	rt1.RegisterLibrary(grab)
+	rt2 := newRT(t, img, mrt.Options{})
+	rt2.RegisterLibrary(plugin)
+	if _, err := rt1.Dlopen("grab"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt2.Dlopen("plugin"); err != nil {
+		t.Fatal(err)
+	}
+	if img.Aux.Funcs[baseFn].AddrTaken {
+		t.Error("a runtime's Dlopen marked the image's base_fn address-taken")
+	}
+	s, _ := rt1.Symbol("base_fn")
+	if _, ok := rt1.Graph().TaryECN[int(s.Addr)]; !ok {
+		t.Error("base_fn is not a target in the runtime whose module took its address")
+	}
+	if _, ok := rt2.Graph().TaryECN[int(s.Addr)]; ok {
+		t.Error("base_fn is a target in a runtime that never took its address")
+	}
+}
+
 // TestABAQuiescenceReset checks the §5.2 ABA mitigation: update
 // transactions raise the counter; once every live thread is observed
 // at a system call after the latest update, the counter resets.

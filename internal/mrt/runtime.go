@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"mcfi/internal/cfg"
@@ -82,7 +83,8 @@ type Runtime struct {
 	// or the tables checks it under mu.
 	mu          sync.Mutex
 	released    bool
-	aux         module.AuxInfo // merged, absolute addresses
+	aux         module.AuxInfo   // merged, absolute addresses
+	funcsByName map[string][]int // name -> aux.Funcs indexes; see funcIndex
 	syms        map[string]linker.SymInfo
 	branchIndex map[int]int // IB offset -> Bary index
 	nextBranch  int
@@ -135,7 +137,7 @@ func New(img *linker.Image, opts Options) (*Runtime, error) {
 		Proc:        vm.NewProcess(),
 		Img:         img,
 		opts:        opts,
-		aux:         img.Aux,
+		aux:         clipAux(img.Aux),
 		syms:        map[string]linker.SymInfo{},
 		branchIndex: map[int]int{},
 		libs:        map[string]*module.Object{},
@@ -203,6 +205,18 @@ func New(img *linker.Image, opts Options) (*Runtime, error) {
 		}
 	}
 	return r, nil
+}
+
+// clipAux returns the image's aux info with every slice clipped to its
+// length, so a Dlopen's appends copy instead of writing into spare
+// capacity that every runtime of the image shares.
+func clipAux(a module.AuxInfo) module.AuxInfo {
+	a.Funcs = slices.Clip(a.Funcs)
+	a.IBs = slices.Clip(a.IBs)
+	a.RetSites = slices.Clip(a.RetSites)
+	a.SetjmpConts = slices.Clip(a.SetjmpConts)
+	a.AsmAnnotations = slices.Clip(a.AsmAnnotations)
+	return a
 }
 
 // registerFusedSites tells the VM where the image's check transactions
